@@ -161,7 +161,8 @@ QuantizedPayload decode_quantized(const std::vector<std::uint8_t>& bytes,
   return payload;
 }
 
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+std::uint32_t crc32(std::span<const std::uint8_t> bytes,
+                    std::uint32_t running) {
   static const auto table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -173,7 +174,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
     }
     return t;
   }();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  std::uint32_t crc = running ^ 0xFFFFFFFFu;
   for (std::uint8_t b : bytes) {
     crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
   }

@@ -95,8 +95,11 @@ QuantizedPayload decode_quantized(const std::vector<std::uint8_t>& bytes,
 // CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a payload. The fault
 // layer (fl/faults, DESIGN.md §10) stamps every simulated upload with this
 // checksum so corrupted-in-transit payloads are detected and discarded; any
-// single-bit flip changes the CRC.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+// single-bit flip changes the CRC. Passing a previous result as `running`
+// continues the checksum: crc32(b, crc32(a)) == crc32(a ++ b), so a stream
+// can be checksummed piece by piece.
+std::uint32_t crc32(std::span<const std::uint8_t> bytes,
+                    std::uint32_t running = 0);
 
 // Adds one round's totals to the global metrics registry counters
 // `compress.<protocol>.rounds` / `.bytes_up` / `.bytes_down`. No-op unless

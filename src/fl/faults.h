@@ -38,8 +38,8 @@ struct FaultOptions {
   double straggler_comm_factor = 4.0;
   // Upload loss: each upload attempt is lost with this probability; the
   // client retries up to max_retries times, waiting retry_backoff_s of
-  // simulated time between attempts. With max_retries = 0 this reduces to
-  // the legacy flat SimulationOptions::upload_loss_probability semantics.
+  // simulated time between attempts. With max_retries = 0 a lost upload is
+  // simply gone for the round. A round whose every upload is lost stalls.
   double upload_loss_probability = 0.0;
   int max_retries = 0;
   double retry_backoff_s = 0.5;

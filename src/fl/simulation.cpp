@@ -38,6 +38,13 @@ void add_fault_counters(const RoundRecord::FaultCounters& counters,
   if (!counters.quorum_met) reg.counter("faults.quorum_stalls").add(1);
 }
 
+// Adds the host time since the previous lap to `phase` when metrics are on
+// (the disabled path costs one clock read per round and nothing else). Host
+// time never feeds back into the simulated clock.
+void lap(util::Stopwatch& wall, double& phase) {
+  if (obs::metrics_enabled()) phase += wall.lap();
+}
+
 }  // namespace
 
 double staleness_weight(int staleness, double alpha) {
@@ -85,16 +92,10 @@ Simulation::Simulation(SimulationOptions options,
                            0.0);
   }
 
-  // Fold the legacy flat upload-loss knob into the fault plan so there is a
-  // single failure mechanism. The fault stream is salted with the
-  // simulation seed: two runs differing only in `seed` see different fault
-  // realizations (matching the historical loss behaviour), while fixing
+  // The fault stream is salted with the simulation seed: two runs
+  // differing only in `seed` see different fault realizations, while fixing
   // both seeds pins the schedule for controlled comparisons.
   FaultOptions fault_options = options_.faults;
-  if (fault_options.upload_loss_probability == 0.0 &&
-      options_.upload_loss_probability > 0.0) {
-    fault_options.upload_loss_probability = options_.upload_loss_probability;
-  }
   fault_options.seed ^= options_.seed;
   faults_ = FaultPlan(fault_options);
 
@@ -146,19 +147,25 @@ double Simulation::model_flops_per_round() const {
          options_.local.iterations;
 }
 
-std::vector<int> Simulation::select_participants(int round) {
-  // All active clients start the round; the server keeps the fraction that
+std::vector<int> Simulation::present_clients() const {
+  const bool faulty = faults_.enabled();
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    if (!active_[i]) continue;
+    if (faulty && faults_.is_absent(static_cast<int>(i))) continue;
+    ids.push_back(static_cast<int>(i));
+  }
+  return ids;
+}
+
+std::vector<int> Simulation::select_participants(
+    int round, const std::vector<int>& present) {
+  // All present clients start the round; the server keeps the fraction that
   // finishes earliest. Finish times are estimated with the previous round's
   // mean payload (payload differences across clients within a protocol are
   // second-order; compute heterogeneity dominates the ordering).
   const bool faulty = faults_.enabled();
-  std::vector<int> active_ids;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (!active_[i]) continue;
-    if (faulty && faults_.is_absent(static_cast<int>(i))) continue;
-    active_ids.push_back(static_cast<int>(i));
-  }
-  if (active_ids.empty()) {
+  if (present.empty()) {
     // With churn this is a legitimate (if bleak) state — every client is
     // down and the round stalls; without it, it is caller error.
     if (faulty) {
@@ -170,35 +177,35 @@ std::vector<int> Simulation::select_participants(int round) {
   const std::size_t target = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::ceil(options_.participation_fraction *
-                       static_cast<double>(active_ids.size()))));
+                       static_cast<double>(present.size()))));
   select_target_ = target;
   std::size_t take = target;
   if (faulty && faults_.options().over_select_fraction > 0.0) {
     // Over-selection: the server starts extra clients beyond the
     // aggregation target so lost/late uploads can be backfilled.
     take = std::min(
-        active_ids.size(),
+        present.size(),
         std::max(target,
                  static_cast<std::size_t>(std::ceil(
                      (options_.participation_fraction +
                       faults_.options().over_select_fraction) *
-                     static_cast<double>(active_ids.size())))));
+                     static_cast<double>(present.size())))));
   }
   std::vector<int> chosen;
   chosen.reserve(take);
   if (options_.participation == SimulationOptions::Participation::kUniform) {
     util::Rng pick(options_.seed ^ 0x5e1ec7 ^
                    (0x9e3779b97f4a7c15ULL * (round + 1)));
-    const auto perm = pick.permutation(active_ids.size());
+    const auto perm = pick.permutation(present.size());
     for (std::size_t i = 0; i < take; ++i) {
-      chosen.push_back(active_ids[perm[i]]);
+      chosen.push_back(present[perm[i]]);
     }
   } else {
     const double flops = model_flops_per_round();
     const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
     std::vector<std::pair<double, int>> finish;
-    finish.reserve(active_ids.size());
-    for (int id : active_ids) {
+    finish.reserve(present.size());
+    for (int id : present) {
       double t;
       if (faulty) {
         // Straggler multipliers feed the estimate, so the earliest cut
@@ -207,11 +214,11 @@ std::vector<int> Simulation::select_participants(int round) {
         const ClientFault& f = faults_.fault(id);
         t = network_.compute_time(id, round, flops) * f.compute_factor +
             network_.comm_time(id, est_bytes, est_bytes,
-                               static_cast<int>(active_ids.size())) *
+                               static_cast<int>(present.size())) *
                 f.comm_factor;
       } else {
         t = network_.client_round_time(id, round, flops, est_bytes, est_bytes,
-                                       static_cast<int>(active_ids.size()));
+                                       static_cast<int>(present.size()));
       }
       finish.emplace_back(t, id);
     }
@@ -224,26 +231,6 @@ std::vector<int> Simulation::select_participants(int round) {
   return chosen;
 }
 
-RoundRecord Simulation::stalled_round(int round, double round_time,
-                                      RoundRecord::FaultCounters counters) {
-  elapsed_time_s_ += round_time;
-  ++round_;
-  RoundRecord record;
-  record.round = round;
-  record.uploads_lost = counters.selected - counters.corrupt -
-                        counters.deadline_missed - counters.unused;
-  record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.num_participants = 0;
-  counters.quorum_met = false;
-  record.faults = counters;
-  add_fault_counters(counters, record.uploads_lost);
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    record.test_accuracy = evaluate();
-  }
-  return record;
-}
-
 RoundRecord Simulation::step() {
   // Server-crash fault family (docs/FAULT_MODEL.md §7): the server dies at
   // the start of the round, before any client is dispatched — the previous
@@ -252,9 +239,12 @@ RoundRecord Simulation::step() {
   if (faults_.server_faults_enabled() && faults_.server_crash(round_)) {
     throw ServerCrashed(round_);
   }
-  RoundRecord record = (options_.async.enabled && !async_barrier_)
-                           ? step_async()
-                           : step_sync();
+  RoundRecord record;
+  {
+    OBS_SPAN("sim.round");
+    record = (options_.async.enabled && !async_barrier_) ? step_async()
+                                                         : step_sync();
+  }
   // Checkpoint before the hook fires so telemetry and the health monitor
   // see the write outcome on the round it happened.
   maybe_checkpoint(record);
@@ -297,51 +287,209 @@ void Simulation::maybe_checkpoint(RoundRecord& record) {
   record.checkpoint = std::move(ev);
 }
 
-RoundRecord Simulation::step_sync() {
-  OBS_SPAN("sim.round");
-  const int round = round_;
-  // Wall-clock phase attribution (host time, gated so the disabled path
-  // costs one clock read per round and nothing else). Never feeds back
-  // into the simulated clock.
-  const bool wall_on = obs::metrics_enabled();
-  util::Stopwatch wall_sw;
-  RoundRecord::WallPhases wall;
+// ---------------------------------------------------------------------------
+// Round stages shared by both engines (DESIGN.md §2): begin → select or
+// dispatch → train → deliver → aggregate → commit. Only selection, the
+// delivery order and the timing model differ between step_sync() and
+// step_async(); everything else is one function here.
+// ---------------------------------------------------------------------------
 
-  const bool faulty = faults_.enabled();
+RoundRecord::FaultCounters Simulation::begin_round(int round) {
   RoundRecord::FaultCounters fc;
-  std::size_t resync_bytes_total = 0;
-  std::size_t resync_bytes_each = 0;
-  if (faulty) {
-    faults_.begin_round(round, static_cast<int>(clients_.size()));
-    const FaultPlan::RoundSummary& summary = faults_.round_summary();
-    fc.crashed = summary.absent;
-    if (obs::metrics_enabled() && summary.onsets > 0) {
-      obs::MetricsRegistry::global()
-          .counter("faults.crashes")
-          .add(static_cast<std::uint64_t>(summary.onsets));
+  if (!faults_.enabled()) return fc;
+  faults_.begin_round(round, static_cast<int>(clients_.size()));
+  const FaultPlan::RoundSummary& summary = faults_.round_summary();
+  fc.crashed = summary.absent;
+  if (obs::metrics_enabled() && summary.onsets > 0) {
+    obs::MetricsRegistry::global()
+        .counter("faults.crashes")
+        .add(static_cast<std::uint64_t>(summary.onsets));
+  }
+  return fc;
+}
+
+std::size_t Simulation::resync_rejoiners(const std::vector<int>& ids,
+                                         RoundRecord::FaultCounters& fc) {
+  // A client back from a crash is stale: force a full re-sync (model +
+  // protocol speculation state) before it may participate again, so it
+  // never speculates from a stale slope or contributes a stale error
+  // accumulator.
+  if (!faults_.enabled()) return 0;
+  std::size_t bytes = 0;
+  for (int id : ids) {
+    if (!faults_.fault(id).rejoined) continue;
+    ++fc.rejoined;
+    ++fc.resyncs;
+    bytes += global_.size() * sizeof(float) + protocol_->on_client_rejoin(id);
+  }
+  return bytes;
+}
+
+void Simulation::train_participants(int round, const std::vector<int>& ids,
+                                    std::vector<std::vector<float>>& states,
+                                    std::vector<double>& losses) {
+  OBS_SPAN("sim.train");
+  LocalTrainOptions local = options_.local;
+  if (options_.lr_schedule) {
+    local.learning_rate = options_.lr_schedule->lr(round);
+  }
+  auto train_one = [&](std::size_t idx, nn::Model& model) {
+    model.load_state_vector(global_);
+    losses[idx] =
+        clients_[static_cast<std::size_t>(ids[idx])]->train_round(model, local);
+    states[idx] = model.state_vector();
+  };
+
+  if (!pool_ || ids.size() <= 1) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      train_one(i, scratch_model_);
     }
-    // A client back from a crash is stale: force a full re-sync (model +
-    // protocol speculation state) before it may participate again, so it
-    // never speculates from a stale slope or contributes a stale error
-    // accumulator. The download is charged to this round.
-    resync_bytes_each =
-        global_.size() * sizeof(float) + protocol_->join_state_bytes();
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (!active_[i]) continue;
-      if (!faults_.fault(static_cast<int>(i)).rejoined) continue;
-      ++fc.rejoined;
-      ++fc.resyncs;
-      resync_bytes_total += global_.size() * sizeof(float) +
-                            protocol_->on_client_rejoin(static_cast<int>(i));
-    }
+    return;
   }
 
+  // Lazily build one replica per worker. A replica built from the same
+  // spec+seed as scratch_model_ has the identical parameter layout, and
+  // train_one overwrites every parameter (weights and BN buffers alike) via
+  // load_state_vector, so which replica trains a client cannot change any
+  // bit of the result. Each client is trained by exactly one chunk, and its
+  // own batch-loader RNG advances exactly as it would sequentially.
+  if (replicas_.size() < static_cast<std::size_t>(pool_->size())) {
+    replicas_.clear();
+    for (int w = 0; w < pool_->size(); ++w) {
+      nn::ModelSpec spec = options_.model;
+      replicas_.push_back(std::make_unique<nn::Model>(
+          nn::build_model(spec, util::Rng(options_.seed))));
+    }
+  }
+  pool_->parallel_chunks(
+      0, ids.size(),
+      [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk) {
+        nn::Model& model = *replicas_[chunk];
+        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
+          train_one(i, model);
+        }
+      });
+}
+
+void Simulation::reject_corrupt(const std::vector<float>& state,
+                                int dispatch_round, int client,
+                                RoundRecord::FaultCounters& fc) const {
+  // Encode the trained payload, flip one bit "in transit" keyed on the
+  // dispatch round (so the realization travels with an async leg), and
+  // verify the CRC rejects it — it always does for a single-bit flip.
+  auto payload = compress::wire::encode_dense(state);
+  if (payload.empty()) payload.push_back(0);
+  const std::uint32_t sent_crc = compress::wire::crc32(payload);
+  util::Rng flip(
+      faults_.options().seed ^
+      (0x9e3779b97f4a7c15ULL *
+       (static_cast<std::uint64_t>(dispatch_round) + 1)) ^
+      (0x94d049bb133111ebULL * (static_cast<std::uint64_t>(client) + 1)));
+  const std::size_t bit =
+      static_cast<std::size_t>(flip.uniform_index(payload.size() * 8));
+  payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  if (compress::wire::crc32(payload) == sent_crc) {
+    throw std::logic_error("Simulation: CRC failed to detect a bit flip");
+  }
+  ++fc.corrupt;
+}
+
+compress::SyncResult Simulation::aggregate(
+    const compress::RoundContext& ctx,
+    const std::vector<std::span<const float>>& views, double loss_sum,
+    RoundRecord& record, util::Stopwatch& wall) {
+  compress::SyncResult sync = [&] {
+    OBS_SPAN("sim.sync");
+    return protocol_->synchronize(ctx, views);
+  }();
+  lap(wall, record.wall.sync_s);
+  if (sync.new_global.size() != global_.size()) {
+    throw std::logic_error("Simulation: protocol changed state size");
+  }
+  global_ = std::move(sync.new_global);
+  const std::size_t n = ctx.participants.size();
+  record.num_participants = static_cast<int>(n);
+  record.train_loss = n == 0 ? 0.0 : loss_sum / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    record.bytes_up += sync.bytes_up[i];
+    record.bytes_down += sync.bytes_down[i];
+  }
+  return sync;
+}
+
+RoundRecord Simulation::commit(RoundRecord record, double elapsed_s,
+                               const RoundRecord::FaultCounters& fc,
+                               std::size_t resync_bytes,
+                               util::Stopwatch& wall) {
+  // The next round's finish-time estimate uses this round's mean payload,
+  // re-sync downloads excluded. A stalled round leaves it as it was.
+  if (record.num_participants > 0) {
+    last_mean_payload_bytes_ =
+        static_cast<double>(record.bytes_up + record.bytes_down) /
+        (2.0 * static_cast<double>(record.num_participants));
+  }
+  record.bytes_down += resync_bytes;
+  // The engines pass the new clock as an absolute value: re-deriving it
+  // from round_time_s could differ in the last bit.
+  elapsed_time_s_ = elapsed_s;
+  record.elapsed_time_s = elapsed_s;
+  ++round_;
+  if (fc.quorum_met) {
+    record.sparsification_ratio = protocol_->last_sparsification_ratio();
+    const compress::SyncProtocol::Telemetry tele =
+        protocol_->last_round_telemetry();
+    record.speculated_fraction = tele.speculated_fraction;
+    record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
+  }
+  if (faults_.enabled()) {
+    record.faults = fc;
+    add_fault_counters(fc, record.uploads_lost);
+  }
+  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
+    OBS_SPAN("sim.eval");
+    record.test_accuracy = evaluate();
+  }
+  if (obs::metrics_enabled()) {
+    record.wall.eval_s = wall.lap();
+    record.wall.total_s = wall.elapsed_seconds();
+    auto& reg = obs::MetricsRegistry::global();
+    reg.counter("fl.round.count").add(1);
+    reg.counter("fl.round.bytes_up").add(record.bytes_up);
+    reg.counter("fl.round.bytes_down").add(record.bytes_down);
+  }
+  return record;
+}
+
+// ---------------------------------------------------------------------------
+// The two engines: what differs is who trains (the earliest-finishing
+// fraction vs every idle client), how uploads are cut (estimated arrival
+// order before synchronization vs AsyncUplink arrival order), and when the
+// simulated clock is charged (after synchronization with actual bytes vs at
+// dispatch with the payload estimate).
+// ---------------------------------------------------------------------------
+
+RoundRecord Simulation::step_sync() {
+  const int round = round_;
+  util::Stopwatch wall;
+  RoundRecord record;
+  record.round = round;
+  const bool faulty = faults_.enabled();
+  const FaultOptions& fo = faults_.options();
+
+  // Every present rejoiner is re-synced this round, selected or not; a
+  // selected one also carries the download on its round time below.
+  RoundRecord::FaultCounters fc = begin_round(round);
+  const std::size_t resync_bytes_each =
+      global_.size() * sizeof(float) + protocol_->join_state_bytes();
+  std::size_t resync_bytes = 0;
   std::vector<int> participants;
   {
     OBS_SPAN("sim.select");
-    participants = select_participants(round);
+    const std::vector<int> present = present_clients();
+    resync_bytes = resync_rejoiners(present, fc);
+    participants = select_participants(round, present);
   }
-  if (wall_on) wall.select_s = wall_sw.lap();
+  lap(wall, record.wall.select_s);
 
   const double flops = model_flops_per_round();
 
@@ -349,12 +497,10 @@ RoundRecord Simulation::step_sync() {
   // order uses estimated times (actual payload bytes exist only after
   // synchronization, but the cut must be made before it); the simulated
   // clock below charges actual bytes.
-  int uploads_lost = 0;
   std::vector<int> kept = participants;  // the aggregation set
   std::vector<int> corrupt_ids;          // delivered, doomed to fail the CRC
   if (faulty) {
     fc.selected = static_cast<int>(participants.size());
-    const FaultOptions& fo = faults_.options();
     const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
     const int concurrent = static_cast<int>(participants.size());
     double last_giveup_s = 0.0;  // when the slowest selected client stopped
@@ -373,7 +519,7 @@ RoundRecord Simulation::step_sync() {
           static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
       last_giveup_s = std::max(last_giveup_s, est);
       if (!f.delivered) {
-        ++uploads_lost;
+        ++record.uploads_lost;
         continue;
       }
       if (fo.deadline_s > 0.0 && est > fo.deadline_s) {
@@ -410,9 +556,10 @@ RoundRecord Simulation::step_sync() {
       if (stall_time <= 0.0) stall_time = options_.network.base_latency_s;
       fc.corrupt += static_cast<int>(corrupt_ids.size());
       fc.unused += static_cast<int>(kept.size());
-      RoundRecord record = stalled_round(round, stall_time, fc);
-      record.bytes_down = resync_bytes_total;
-      return record;
+      fc.quorum_met = false;
+      record.round_time_s = stall_time;
+      return commit(std::move(record), elapsed_time_s_ + stall_time, fc,
+                    resync_bytes, wall);
     }
     std::sort(kept.begin(), kept.end());  // protocol contract: ascending ids
     std::sort(corrupt_ids.begin(), corrupt_ids.end());
@@ -420,10 +567,6 @@ RoundRecord Simulation::step_sync() {
 
   // Local training: the aggregation set plus the corrupt deliveries (their
   // compute is spent and their real payload feeds the CRC check).
-  LocalTrainOptions local = options_.local;
-  if (options_.lr_schedule) {
-    local.learning_rate = options_.lr_schedule->lr(round);
-  }
   std::vector<int> train_ids = kept;
   if (!corrupt_ids.empty()) {
     train_ids.insert(train_ids.end(), corrupt_ids.begin(), corrupt_ids.end());
@@ -431,36 +574,16 @@ RoundRecord Simulation::step_sync() {
   }
   std::vector<std::vector<float>> states(train_ids.size());
   std::vector<double> losses(train_ids.size(), 0.0);
-  {
-    OBS_SPAN("sim.train");
-    train_participants(train_ids, local, states, losses);
-  }
-  if (wall_on) wall.train_s = wall_sw.lap();
+  train_participants(round, train_ids, states, losses);
+  lap(wall, record.wall.train_s);
 
-  // Corruption on receipt: encode the trained payload, flip one
-  // deterministic bit "in transit", and verify the CRC rejects it (it
-  // always does for a single-bit flip). The update is discarded.
   for (int id : corrupt_ids) {
     const std::size_t pos = static_cast<std::size_t>(
         std::lower_bound(train_ids.begin(), train_ids.end(), id) -
         train_ids.begin());
-    auto payload = compress::wire::encode_dense(states[pos]);
-    if (payload.empty()) payload.push_back(0);
-    const std::uint32_t sent_crc = compress::wire::crc32(payload);
-    util::Rng flip(faults_.options().seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(round) + 1)) ^
-                   (0x94d049bb133111ebULL * (static_cast<std::uint64_t>(id) + 1)));
-    const std::size_t bit =
-        static_cast<std::size_t>(flip.uniform_index(payload.size() * 8));
-    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (compress::wire::crc32(payload) == sent_crc) {
-      throw std::logic_error("Simulation: CRC failed to detect a bit flip");
-    }
-    ++fc.corrupt;
+    reject_corrupt(states[pos], round, id, fc);
   }
 
-  // Synchronization through the protocol under test.
   compress::RoundContext ctx;
   ctx.round = round;
   ctx.participants = kept;
@@ -476,23 +599,11 @@ RoundRecord Simulation::step_sync() {
       ++ti;
     }
   }
-  compress::SyncResult sync = [&] {
-    OBS_SPAN("sim.sync");
-    return protocol_->synchronize(ctx, views);
-  }();
-  if (wall_on) wall.sync_s = wall_sw.lap();
-  if (sync.new_global.size() != global_.size()) {
-    throw std::logic_error("Simulation: protocol changed state size");
-  }
-  global_ = std::move(sync.new_global);
+  const compress::SyncResult sync =
+      aggregate(ctx, views, loss_sum, record, wall);
 
   // Simulated time: the round ends when the slowest used client finishes.
   double round_time = 0.0;
-  std::size_t bytes_up_total = 0, bytes_down_total = 0;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    bytes_up_total += sync.bytes_up[i];
-    bytes_down_total += sync.bytes_down[i];
-  }
   {
   OBS_SPAN("sim.timing");
   if (options_.timing == TimingModel::kFlowLevel) {
@@ -510,7 +621,7 @@ RoundRecord Simulation::step_sync() {
         // slowdown maps onto a proportionally thinner client link.
         compute_done = compute_done * f.compute_factor +
                        static_cast<double>(f.upload_attempts - 1) *
-                           faults_.options().retry_backoff_s;
+                           fo.retry_backoff_s;
         up_bytes *= static_cast<double>(f.upload_attempts);
         rate /= f.comm_factor;
         if (f.rejoined) down_bytes += static_cast<double>(resync_bytes_each);
@@ -534,8 +645,7 @@ RoundRecord Simulation::step_sync() {
                 network_.upload_time(id, sync.bytes_up[i],
                                      static_cast<int>(kept.size())) *
                 f.comm_factor +
-            static_cast<double>(f.upload_attempts - 1) *
-                faults_.options().retry_backoff_s +
+            static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s +
             network_.download_time(id, down_bytes,
                                    static_cast<int>(kept.size())) *
                 f.comm_factor;
@@ -547,52 +657,15 @@ RoundRecord Simulation::step_sync() {
       round_time = std::max(round_time, t);
     }
   }
-  if (faulty && fc.deadline_missed > 0 && faults_.options().deadline_s > 0.0) {
+  if (faulty && fc.deadline_missed > 0 && fo.deadline_s > 0.0) {
     // The server waited out its deadline for the uploads that missed it.
-    round_time = std::max(round_time, faults_.options().deadline_s);
+    round_time = std::max(round_time, fo.deadline_s);
   }
   }  // OBS_SPAN sim.timing
-  if (wall_on) wall.timing_s = wall_sw.lap();
-  elapsed_time_s_ += round_time;
-  last_mean_payload_bytes_ =
-      kept.empty() ? last_mean_payload_bytes_
-                   : static_cast<double>(bytes_up_total + bytes_down_total) /
-                         (2.0 * static_cast<double>(kept.size()));
-  ++round_;
-
-  RoundRecord record;
-  record.round = round;
+  lap(wall, record.wall.timing_s);
   record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.train_loss =
-      kept.empty() ? 0.0 : loss_sum / static_cast<double>(kept.size());
-  record.sparsification_ratio = protocol_->last_sparsification_ratio();
-  record.bytes_up = bytes_up_total;
-  record.bytes_down = bytes_down_total + resync_bytes_total;
-  record.num_participants = static_cast<int>(kept.size());
-  record.uploads_lost = uploads_lost;
-  const compress::SyncProtocol::Telemetry tele =
-      protocol_->last_round_telemetry();
-  record.speculated_fraction = tele.speculated_fraction;
-  record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
-  if (faulty) {
-    record.faults = fc;
-    add_fault_counters(fc, uploads_lost);
-  }
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    OBS_SPAN("sim.eval");
-    record.test_accuracy = evaluate();
-  }
-  if (wall_on) {
-    wall.eval_s = wall_sw.lap();
-    wall.total_s = wall_sw.elapsed_seconds();
-    record.wall = wall;
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("fl.round.count").add(1);
-    reg.counter("fl.round.bytes_up").add(record.bytes_up);
-    reg.counter("fl.round.bytes_down").add(record.bytes_down);
-  }
-  return record;
+  return commit(std::move(record), elapsed_time_s_ + round_time, fc,
+                resync_bytes, wall);
 }
 
 // One buffered-async aggregation cycle (DESIGN.md §11). The barrier is
@@ -604,76 +677,42 @@ RoundRecord Simulation::step_sync() {
 // discount; aggregation order is (arrival time, seed-keyed tiebreak,
 // client id), so results are bitwise identical for every --threads value.
 RoundRecord Simulation::step_async() {
-  OBS_SPAN("sim.round");
   const int round = round_;
-  const bool wall_on = obs::metrics_enabled();
-  util::Stopwatch wall_sw;
-  RoundRecord::WallPhases wall;
-
+  util::Stopwatch wall;
+  RoundRecord record;
+  record.round = round;
   const double cycle_start_s = elapsed_time_s_;
   const double flops = model_flops_per_round();
   const bool faulty = faults_.enabled();
   const FaultOptions& fo = faults_.options();
 
-  RoundRecord::FaultCounters fc;
-  std::size_t resync_bytes_total = 0;
-  if (faulty) {
-    faults_.begin_round(round, static_cast<int>(clients_.size()));
-    const FaultPlan::RoundSummary& summary = faults_.round_summary();
-    fc.crashed = summary.absent;
-    if (obs::metrics_enabled() && summary.onsets > 0) {
-      obs::MetricsRegistry::global()
-          .counter("faults.crashes")
-          .add(static_cast<std::uint64_t>(summary.onsets));
-    }
-  }
-
   // Dispatch: every idle, present client starts a new leg against the
   // current model version. Clients mid-upload keep traveling against the
-  // version they were handed; crashed clients wait until they rejoin.
+  // version they were handed; crashed clients wait until they rejoin. A
+  // rejoiner is billed its forced re-sync when it is next dispatched.
+  RoundRecord::FaultCounters fc = begin_round(round);
+  const int cohort =
+      static_cast<int>(std::count(active_.begin(), active_.end(), true));
   std::vector<int> dispatch_ids;
-  int cohort = 0;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (!active_[i]) continue;
-    ++cohort;
-    if (client_busy_[i]) continue;
-    if (faulty && faults_.is_absent(static_cast<int>(i))) continue;
-    dispatch_ids.push_back(static_cast<int>(i));
+  for (int id : present_clients()) {
+    if (!client_busy_[static_cast<std::size_t>(id)]) dispatch_ids.push_back(id);
   }
   fc.selected = static_cast<int>(dispatch_ids.size());
-  if (faulty) {
-    // A rejoiner is billed its forced re-sync (model + protocol speculation
-    // state) when it is next dispatched — the same staleness rule as the
-    // synchronous path, anchored to the dispatch instead of the barrier.
-    for (int id : dispatch_ids) {
-      if (!faults_.fault(id).rejoined) continue;
-      ++fc.rejoined;
-      ++fc.resyncs;
-      resync_bytes_total +=
-          global_.size() * sizeof(float) + protocol_->on_client_rejoin(id);
-    }
-  }
-  if (wall_on) wall.select_s = wall_sw.lap();
+  const std::size_t resync_bytes = resync_rejoiners(dispatch_ids, fc);
+  lap(wall, record.wall.select_s);
 
   // Local training for the new legs. They all read the same current
   // global_, so the per-worker-replica pool path applies unchanged and the
   // §5b thread-count determinism argument carries over verbatim.
-  LocalTrainOptions local = options_.local;
-  if (options_.lr_schedule) {
-    local.learning_rate = options_.lr_schedule->lr(round);
-  }
   std::vector<std::vector<float>> states(dispatch_ids.size());
   std::vector<double> losses(dispatch_ids.size(), 0.0);
-  {
-    OBS_SPAN("sim.train");
-    train_participants(dispatch_ids, local, states, losses);
-  }
-  if (wall_on) wall.train_s = wall_sw.lap();
+  train_participants(round, dispatch_ids, states, losses);
+  lap(wall, record.wall.train_s);
 
   // Register the new upload flows. Flow timing uses the dispatch-time
   // payload estimate (actual bytes exist only after synchronization — the
   // same convention the synchronous selection estimate relies on); the byte
-  // accounting below charges actual bytes.
+  // accounting charges actual bytes.
   std::shared_ptr<const std::vector<float>> snapshot;
   const double est_bytes = last_mean_payload_bytes_;
   for (std::size_t k = 0; k < dispatch_ids.size(); ++k) {
@@ -721,7 +760,6 @@ RoundRecord Simulation::step_async() {
     int client = 0;
     std::size_t entry = 0;
     bool deliverable = false;
-    bool deadline_missed = false;
   };
   std::vector<Candidate> candidates;
   candidates.reserve(inflight_.size());
@@ -738,9 +776,10 @@ RoundRecord Simulation::step_async() {
       // In async mode deadline_s bounds an upload's AGE (arrival minus
       // dispatch): there is no per-round barrier for an absolute deadline
       // to anchor to (docs/FAULT_MODEL.md).
-      c.deadline_missed = faulty && fo.deadline_s > 0.0 &&
-                          (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
-      c.deliverable = leg.delivered && !leg.corrupt && !c.deadline_missed;
+      const bool deadline_missed =
+          faulty && fo.deadline_s > 0.0 &&
+          (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
+      c.deliverable = leg.delivered && !leg.corrupt && !deadline_missed;
       candidates.push_back(c);
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -752,7 +791,7 @@ RoundRecord Simulation::step_async() {
                 return a.client < b.client;
               });
   }
-  if (wall_on) wall.timing_s = wall_sw.lap();
+  lap(wall, record.wall.timing_s);
 
   int deliverable_count = 0;
   for (const Candidate& c : candidates) {
@@ -765,360 +804,207 @@ RoundRecord Simulation::step_async() {
   }();
   const int quorum = faulty ? std::max(1, fo.min_quorum) : 1;
   const int k_eff = std::min(base_k, deliverable_count);
+  // Below quorum the buffer cannot fill and the cycle stalls: deliverable
+  // legs stay buffered for a later cycle, and loss / corruption / deadline
+  // events are waited out so their clients come back as dispatchable.
+  const bool stalled = k_eff < quorum;
+  if (stalled && !faulty && candidates.empty()) {
+    throw std::logic_error("Simulation: no active clients");
+  }
 
-  int uploads_lost = 0;
   auto free_client = [&](const InFlight& leg, double when) {
     client_busy_[static_cast<std::size_t>(leg.client)] = 0;
     client_ready_s_[static_cast<std::size_t>(leg.client)] = when;
   };
-  // Corruption on receipt, same mechanics as the synchronous path: encode
-  // the trained payload, flip one deterministic bit keyed on the DISPATCH
-  // cycle (so the realization travels with the leg), verify the CRC rejects.
-  auto verify_corrupt = [&](const InFlight& leg) {
-    auto payload = compress::wire::encode_dense(leg.state);
-    if (payload.empty()) payload.push_back(0);
-    const std::uint32_t sent_crc = compress::wire::crc32(payload);
-    util::Rng flip(
-        fo.seed ^
-        (0x9e3779b97f4a7c15ULL *
-         (static_cast<std::uint64_t>(leg.dispatch_cycle) + 1)) ^
-        (0x94d049bb133111ebULL * (static_cast<std::uint64_t>(leg.client) + 1)));
-    const std::size_t bit =
-        static_cast<std::size_t>(flip.uniform_index(payload.size() * 8));
-    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (compress::wire::crc32(payload) == sent_crc) {
-      throw std::logic_error("Simulation: CRC failed to detect a bit flip");
+
+  // Consume arrivals in order until the buffer holds K deliverable updates.
+  // Loss / corruption / deadline events landing before the buffer fills are
+  // realized now; anything ordered after the K-th arrival stays in flight.
+  // The cycle ends at the K-th arrival (the last event, when stalled).
+  double t_end = cycle_start_s;
+  bool any_event = false;
+  std::vector<std::size_t> consumed_entries;
+  std::vector<std::size_t> remove_entries;
+  for (const Candidate& c : candidates) {
+    if (!stalled && consumed_entries.size() ==
+                        static_cast<std::size_t>(k_eff)) {
+      break;
     }
-    ++fc.corrupt;
-  };
-  auto erase_entries = [&](std::vector<std::size_t>& which) {
-    std::sort(which.begin(), which.end());
+    const InFlight& leg = inflight_[c.entry];
+    if (c.deliverable) {
+      if (stalled) continue;
+      consumed_entries.push_back(c.entry);
+    } else {
+      any_event = true;
+      if (!leg.delivered) {
+        ++record.uploads_lost;
+      } else if (leg.corrupt) {
+        reject_corrupt(leg.state, leg.dispatch_cycle, leg.client, fc);
+      } else {
+        ++fc.deadline_missed;
+      }
+      free_client(leg, c.arrival_s);
+    }
+    remove_entries.push_back(c.entry);
+    t_end = std::max(t_end, c.arrival_s);
+  }
+  // A stalled cycle with nothing to wait for costs one latency heartbeat.
+  if (stalled && !any_event) {
+    t_end = cycle_start_s + options_.network.base_latency_s;
+  }
+
+  RoundRecord::AsyncStats as;
+  as.buffer_k = base_k;
+  as.fill_time_s = t_end - cycle_start_s;
+  if (stalled) {
+    fc.quorum_met = false;
+  } else {
+    // Aggregate. The protocol contract wants ascending client ids;
+    // staleness is the number of aggregations since the leg's version was
+    // dispatched.
+    std::sort(consumed_entries.begin(), consumed_entries.end(),
+              [&](std::size_t a, std::size_t b) {
+                return inflight_[a].client < inflight_[b].client;
+              });
+    compress::RoundContext ctx;
+    ctx.round = round;
+    as.consumed = static_cast<int>(consumed_entries.size());
+    std::vector<std::vector<float>> virtuals;
+    virtuals.reserve(consumed_entries.size());
+    std::vector<std::span<const float>> views;
+    views.reserve(consumed_entries.size());
+    // Stale legs re-base off the pool below; each job fills one pre-sized
+    // virtual vector (disjoint outputs, §5b).
+    struct RebaseJob {
+      const InFlight* leg = nullptr;
+      double weight = 1.0;
+      std::size_t slot = 0;
+    };
+    std::vector<RebaseJob> rebase_jobs;
+    double loss_sum = 0.0;
+    int staleness_sum = 0;
+    for (std::size_t e : consumed_entries) {
+      const InFlight& leg = inflight_[e];
+      ctx.participants.push_back(leg.client);
+      ctx.dispatch_rounds.push_back(leg.version);
+      loss_sum += leg.loss;
+      const int s = model_version_ - leg.version;
+      as.max_staleness = std::max(as.max_staleness, s);
+      staleness_sum += s;
+      if (static_cast<int>(as.staleness_hist.size()) <= s) {
+        as.staleness_hist.resize(static_cast<std::size_t>(s) + 1, 0);
+      }
+      ++as.staleness_hist[static_cast<std::size_t>(s)];
+      const double w = staleness_weight(s, options_.async.staleness_alpha);
+      as.weight_sum += w;
+      if (s == 0) {
+        // Fresh update: hand the raw state through, so an all-fresh cycle
+        // is bit-identical to a synchronous aggregation of the same clients
+        // (global + (state - global) != state in float arithmetic).
+        views.emplace_back(leg.state);
+        continue;
+      }
+      // Stale update: re-base its delta onto the current model under the
+      // staleness discount — virtual = global + w * (state -
+      // dispatch_global) — which turns the protocol's plain mean into the
+      // FedBuff buffered update rule. Accumulated in double, stored as
+      // float like every other aggregation path in the repo. The fill
+      // happens below, possibly across the pool: per-element arithmetic
+      // with disjoint output vectors, so the bits cannot depend on the
+      // thread count.
+      rebase_jobs.push_back(RebaseJob{&leg, w, virtuals.size()});
+      virtuals.emplace_back(global_.size());
+      views.emplace_back(virtuals.back());
+    }
+    if (!rebase_jobs.empty()) {
+      auto rebase = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const RebaseJob& job = rebase_jobs[k];
+          const std::vector<float>& state = job.leg->state;
+          const std::vector<float>& base = *job.leg->dispatch_global;
+          std::vector<float>& virt = virtuals[job.slot];
+          for (std::size_t j = 0; j < virt.size(); ++j) {
+            virt[j] = static_cast<float>(
+                static_cast<double>(global_[j]) +
+                job.weight * (static_cast<double>(state[j]) -
+                              static_cast<double>(base[j])));
+          }
+        }
+      };
+      if (pool_ && rebase_jobs.size() > 1) {
+        pool_->parallel_for(0, rebase_jobs.size(), rebase);
+      } else {
+        rebase(0, rebase_jobs.size());
+      }
+    }
+    as.mean_staleness = static_cast<double>(staleness_sum) /
+                        static_cast<double>(as.consumed);
+
+    const compress::SyncResult sync =
+        aggregate(ctx, views, loss_sum, record, wall);
+    ++model_version_;
+
+    // The consumed clients download the new model starting at the
+    // aggregation instant; their next dispatch waits for that download.
+    // Egress is simulated per aggregation batch (the same shape as the
+    // synchronous phase 2); cross-cycle egress contention is not modeled —
+    // the server link dwarfs the client caps, so batches barely interact.
+    {
+      OBS_SPAN("sim.timing");
+      std::vector<net::Flow> downloads(consumed_entries.size());
+      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+        const InFlight& leg = inflight_[consumed_entries[i]];
+        downloads[i].start_time_s = t_end;
+        downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
+        // A straggler's thin link covers its whole leg, the upload and the
+        // following model download alike.
+        downloads[i].rate_cap_bps =
+            network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
+      }
+      const auto finished = net::simulate_shared_link(
+          downloads, options_.network.server_bandwidth_bps);
+      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+        free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
+      }
+    }
+    if (obs::metrics_enabled()) {
+      auto& reg = obs::MetricsRegistry::global();
+      reg.counter("fl.async.aggregations").add(1);
+      reg.counter("fl.async.stale_uploads").add(rebase_jobs.size());
+      obs::HistogramOptions stale_opts;
+      stale_opts.lo = 0.0;
+      stale_opts.hi = 32.0;
+      stale_opts.buckets = 16;
+      auto& hist = reg.histogram("fl.async.staleness", stale_opts);
+      for (std::size_t s = 0; s < as.staleness_hist.size(); ++s) {
+        for (int c = 0; c < as.staleness_hist[s]; ++c) {
+          hist.record(static_cast<double>(s));
+        }
+      }
+    }
+  }
+
+  // Retire every realized leg; the rest stay in flight for later cycles.
+  {
+    std::sort(remove_entries.begin(), remove_entries.end());
     std::vector<InFlight> keep;
-    keep.reserve(inflight_.size() - which.size());
+    keep.reserve(inflight_.size() - remove_entries.size());
     std::size_t ri = 0;
     for (std::size_t e = 0; e < inflight_.size(); ++e) {
-      if (ri < which.size() && which[ri] == e) {
+      if (ri < remove_entries.size() && remove_entries[ri] == e) {
         ++ri;
         continue;
       }
       keep.push_back(std::move(inflight_[e]));
     }
     inflight_ = std::move(keep);
-  };
-
-  if (k_eff < quorum) {
-    // The buffer cannot fill: the cycle stalls. Deliverable legs stay
-    // buffered for a later cycle; loss / corruption / deadline events are
-    // waited out so their clients come back as dispatchable. A cycle with
-    // nothing to wait for costs one latency heartbeat.
-    if (!faulty && candidates.empty()) {
-      throw std::logic_error("Simulation: no active clients");
-    }
-    double t_end = cycle_start_s;
-    bool any_event = false;
-    std::vector<std::size_t> remove_entries;
-    for (const Candidate& c : candidates) {
-      if (c.deliverable) continue;
-      const InFlight& leg = inflight_[c.entry];
-      any_event = true;
-      t_end = std::max(t_end, c.arrival_s);
-      if (!leg.delivered) {
-        ++uploads_lost;
-      } else if (leg.corrupt) {
-        verify_corrupt(leg);
-      } else {
-        ++fc.deadline_missed;
-      }
-      free_client(leg, c.arrival_s);
-      remove_entries.push_back(c.entry);
-    }
-    if (!any_event) t_end = cycle_start_s + options_.network.base_latency_s;
-    erase_entries(remove_entries);
-    fc.quorum_met = false;
-    const double round_time = t_end - cycle_start_s;
-    elapsed_time_s_ = t_end;
-    ++round_;
-
-    RoundRecord record;
-    record.round = round;
-    record.uploads_lost = uploads_lost;
-    record.round_time_s = round_time;
-    record.elapsed_time_s = elapsed_time_s_;
-    record.num_participants = 0;
-    record.bytes_down = resync_bytes_total;
-    RoundRecord::AsyncStats as;
-    as.buffer_k = base_k;
-    as.inflight = static_cast<int>(inflight_.size());
-    as.fill_time_s = round_time;
-    record.async = as;
-    if (faulty) {
-      record.faults = fc;
-      add_fault_counters(fc, uploads_lost);
-    }
-    if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-      OBS_SPAN("sim.eval");
-      record.test_accuracy = evaluate();
-    }
-    if (wall_on) {
-      wall.eval_s = wall_sw.lap();
-      wall.total_s = wall_sw.elapsed_seconds();
-      record.wall = wall;
-    }
-    return record;
   }
-
-  // Consume arrivals in order until the buffer holds K deliverable updates.
-  // Loss / corruption / deadline events landing before the buffer fills are
-  // realized now; anything ordered after the K-th arrival stays in flight.
-  double t_agg = cycle_start_s;
-  std::vector<std::size_t> consumed_entries;
-  std::vector<std::size_t> remove_entries;
-  int consumed = 0;
-  for (const Candidate& c : candidates) {
-    const InFlight& leg = inflight_[c.entry];
-    if (c.deliverable) {
-      consumed_entries.push_back(c.entry);
-      remove_entries.push_back(c.entry);
-      t_agg = std::max(t_agg, c.arrival_s);
-      if (++consumed == k_eff) break;
-    } else {
-      if (!leg.delivered) {
-        ++uploads_lost;
-      } else if (leg.corrupt) {
-        verify_corrupt(leg);
-      } else {
-        ++fc.deadline_missed;
-      }
-      free_client(leg, c.arrival_s);
-      remove_entries.push_back(c.entry);
-    }
-  }
-
-  // Aggregate. The protocol contract wants ascending client ids; staleness
-  // is the number of aggregations since the leg's version was dispatched.
-  std::sort(consumed_entries.begin(), consumed_entries.end(),
-            [&](std::size_t a, std::size_t b) {
-              return inflight_[a].client < inflight_[b].client;
-            });
-  compress::RoundContext ctx;
-  ctx.round = round;
-  RoundRecord::AsyncStats as;
-  as.buffer_k = base_k;
-  as.consumed = consumed;
-  as.fill_time_s = t_agg - cycle_start_s;
-  std::vector<std::vector<float>> virtuals;
-  virtuals.reserve(consumed_entries.size());
-  std::vector<std::span<const float>> views;
-  views.reserve(consumed_entries.size());
-  // Stale legs re-base off the pool below; each job fills one pre-sized
-  // virtual vector (disjoint outputs, §5b).
-  struct RebaseJob {
-    const InFlight* leg = nullptr;
-    double weight = 1.0;
-    std::size_t slot = 0;
-  };
-  std::vector<RebaseJob> rebase_jobs;
-  double loss_sum = 0.0;
-  int staleness_sum = 0;
-  int stale_uploads = 0;
-  for (std::size_t e : consumed_entries) {
-    const InFlight& leg = inflight_[e];
-    ctx.participants.push_back(leg.client);
-    ctx.dispatch_rounds.push_back(leg.version);
-    loss_sum += leg.loss;
-    const int s = model_version_ - leg.version;
-    as.max_staleness = std::max(as.max_staleness, s);
-    staleness_sum += s;
-    if (static_cast<int>(as.staleness_hist.size()) <= s) {
-      as.staleness_hist.resize(static_cast<std::size_t>(s) + 1, 0);
-    }
-    ++as.staleness_hist[static_cast<std::size_t>(s)];
-    const double w = staleness_weight(s, options_.async.staleness_alpha);
-    as.weight_sum += w;
-    if (s == 0) {
-      // Fresh update: hand the raw state through, so an all-fresh cycle is
-      // bit-identical to a synchronous aggregation of the same clients
-      // (global + (state - global) != state in float arithmetic).
-      views.emplace_back(leg.state);
-      continue;
-    }
-    ++stale_uploads;
-    // Stale update: re-base its delta onto the current model under the
-    // staleness discount — virtual = global + w * (state - dispatch_global)
-    // — which turns the protocol's plain mean into the FedBuff buffered
-    // update rule. Accumulated in double, stored as float like every other
-    // aggregation path in the repo. The fill happens below, possibly across
-    // the pool: per-element arithmetic with disjoint output vectors, so the
-    // bits cannot depend on the thread count.
-    rebase_jobs.push_back(RebaseJob{&leg, w, virtuals.size()});
-    virtuals.emplace_back(global_.size());
-    views.emplace_back(virtuals.back());
-  }
-  if (!rebase_jobs.empty()) {
-    auto rebase = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const RebaseJob& job = rebase_jobs[k];
-        const std::vector<float>& state = job.leg->state;
-        const std::vector<float>& base = *job.leg->dispatch_global;
-        std::vector<float>& virt = virtuals[job.slot];
-        for (std::size_t j = 0; j < virt.size(); ++j) {
-          virt[j] = static_cast<float>(
-              static_cast<double>(global_[j]) +
-              job.weight * (static_cast<double>(state[j]) -
-                            static_cast<double>(base[j])));
-        }
-      }
-    };
-    if (pool_ && rebase_jobs.size() > 1) {
-      pool_->parallel_for(0, rebase_jobs.size(), rebase);
-    } else {
-      rebase(0, rebase_jobs.size());
-    }
-  }
-  as.mean_staleness =
-      consumed == 0 ? 0.0
-                    : static_cast<double>(staleness_sum) /
-                          static_cast<double>(consumed);
-
-  compress::SyncResult sync = [&] {
-    OBS_SPAN("sim.sync");
-    return protocol_->synchronize(ctx, views);
-  }();
-  if (wall_on) wall.sync_s = wall_sw.lap();
-  if (sync.new_global.size() != global_.size()) {
-    throw std::logic_error("Simulation: protocol changed state size");
-  }
-  global_ = std::move(sync.new_global);
-  ++model_version_;
-
-  // The consumed clients download the new model starting at the
-  // aggregation instant; their next dispatch waits for that download.
-  // Egress is simulated per aggregation batch (the same shape as the
-  // synchronous phase 2); cross-cycle egress contention is not modeled —
-  // the server link dwarfs the client caps, so batches barely interact.
-  std::size_t bytes_up_total = 0, bytes_down_total = 0;
-  {
-    OBS_SPAN("sim.timing");
-    std::vector<net::Flow> downloads(consumed_entries.size());
-    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-      const InFlight& leg = inflight_[consumed_entries[i]];
-      bytes_up_total += sync.bytes_up[i];
-      bytes_down_total += sync.bytes_down[i];
-      downloads[i].start_time_s = t_agg;
-      downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
-      // A straggler's thin link covers its whole leg, the upload and the
-      // following model download alike.
-      downloads[i].rate_cap_bps =
-          network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
-    }
-    const auto finished = net::simulate_shared_link(
-        downloads, options_.network.server_bandwidth_bps);
-    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-      free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
-    }
-  }
-  erase_entries(remove_entries);
   as.inflight = static_cast<int>(inflight_.size());
-  if (wall_on) wall.timing_s += wall_sw.lap();
+  lap(wall, record.wall.timing_s);
 
-  const double round_time = t_agg - cycle_start_s;
-  elapsed_time_s_ = t_agg;
-  last_mean_payload_bytes_ =
-      consumed == 0 ? last_mean_payload_bytes_
-                    : static_cast<double>(bytes_up_total + bytes_down_total) /
-                          (2.0 * static_cast<double>(consumed));
-  ++round_;
-
-  RoundRecord record;
-  record.round = round;
-  record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.train_loss =
-      consumed == 0 ? 0.0 : loss_sum / static_cast<double>(consumed);
-  record.sparsification_ratio = protocol_->last_sparsification_ratio();
-  record.bytes_up = bytes_up_total;
-  record.bytes_down = bytes_down_total + resync_bytes_total;
-  record.num_participants = consumed;
-  record.uploads_lost = uploads_lost;
-  const compress::SyncProtocol::Telemetry tele =
-      protocol_->last_round_telemetry();
-  record.speculated_fraction = tele.speculated_fraction;
-  record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
-  record.async = as;
-  if (faulty) {
-    record.faults = fc;
-    add_fault_counters(fc, uploads_lost);
-  }
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    OBS_SPAN("sim.eval");
-    record.test_accuracy = evaluate();
-  }
-  if (wall_on) {
-    wall.eval_s = wall_sw.lap();
-    wall.total_s = wall_sw.elapsed_seconds();
-    record.wall = wall;
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("fl.round.count").add(1);
-    reg.counter("fl.round.bytes_up").add(record.bytes_up);
-    reg.counter("fl.round.bytes_down").add(record.bytes_down);
-    reg.counter("fl.async.aggregations").add(1);
-    reg.counter("fl.async.stale_uploads")
-        .add(static_cast<std::uint64_t>(stale_uploads));
-    obs::HistogramOptions stale_opts;
-    stale_opts.lo = 0.0;
-    stale_opts.hi = 32.0;
-    stale_opts.buckets = 16;
-    auto& hist =
-        reg.histogram("fl.async.staleness", stale_opts);
-    for (std::size_t s = 0; s < as.staleness_hist.size(); ++s) {
-      for (int c = 0; c < as.staleness_hist[s]; ++c) {
-        hist.record(static_cast<double>(s));
-      }
-    }
-  }
-  return record;
-}
-
-void Simulation::train_participants(const std::vector<int>& participants,
-                                    const LocalTrainOptions& local,
-                                    std::vector<std::vector<float>>& states,
-                                    std::vector<double>& losses) {
-  auto train_one = [&](std::size_t idx, nn::Model& model) {
-    model.load_state_vector(global_);
-    losses[idx] = clients_[static_cast<std::size_t>(participants[idx])]
-                      ->train_round(model, local);
-    states[idx] = model.state_vector();
-  };
-
-  if (!pool_ || participants.size() <= 1) {
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      train_one(i, scratch_model_);
-    }
-    return;
-  }
-
-  // Lazily build one replica per worker. A replica built from the same
-  // spec+seed as scratch_model_ has the identical parameter layout, and
-  // train_one overwrites every parameter (weights and BN buffers alike) via
-  // load_state_vector, so which replica trains a client cannot change any
-  // bit of the result. Each client is trained by exactly one chunk, and its
-  // own batch-loader RNG advances exactly as it would sequentially.
-  if (replicas_.size() < static_cast<std::size_t>(pool_->size())) {
-    replicas_.clear();
-    for (int w = 0; w < pool_->size(); ++w) {
-      nn::ModelSpec spec = options_.model;
-      replicas_.push_back(std::make_unique<nn::Model>(
-          nn::build_model(spec, util::Rng(options_.seed))));
-    }
-  }
-  pool_->parallel_chunks(
-      0, participants.size(),
-      [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk) {
-        nn::Model& model = *replicas_[chunk];
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          train_one(i, model);
-        }
-      });
+  record.round_time_s = t_end - cycle_start_s;
+  record.async = std::move(as);
+  return commit(std::move(record), t_end, fc, resync_bytes, wall);
 }
 
 std::vector<RoundRecord> Simulation::run(int rounds,

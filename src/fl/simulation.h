@@ -23,6 +23,7 @@
 #include "net/network_model.h"
 #include "nn/schedule.h"
 #include "nn/zoo.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace fedsu::fl {
@@ -112,14 +113,6 @@ struct SimulationOptions {
   // layer entirely off the round path: results are bitwise identical to a
   // build without it.
   FaultOptions faults;
-  // Legacy flat upload-loss knob, folded into `faults` at construction so
-  // there is a single failure mechanism: when faults.upload_loss_probability
-  // is 0 this value is used as the per-attempt loss probability (with
-  // faults.max_retries retries, default 0 = the historical no-retry
-  // semantics). A round whose every upload is lost stalls: time passes, the
-  // global state stays put, and the RoundRecord is self-consistent
-  // (num_participants == 0, speculated_fraction == 0).
-  double upload_loss_probability = 0.0;
   // Buffered-async execution. When enabled, `participation_fraction` is
   // ignored (every active client is always either training or uploading),
   // and `timing` is forced to kFlowLevel — overlapping uploads only exist
@@ -140,7 +133,7 @@ struct SimulationOptions {
 
 struct RoundRecord {
   int round = 0;
-  int uploads_lost = 0;  // failure injection (see SimulationOptions)
+  int uploads_lost = 0;  // failure injection (see FaultOptions)
   double round_time_s = 0.0;     // simulated duration of this round
   double elapsed_time_s = 0.0;   // cumulative simulated time
   double train_loss = 0.0;       // mean over participants
@@ -308,25 +301,56 @@ class Simulation {
     std::shared_ptr<const std::vector<float>> dispatch_global;
   };
 
-  // The synchronous barrier round (the historical step()).
+  // The two engines (DESIGN.md §2) differ only in selection, delivery order
+  // and timing; every other stage is one of the shared ones below.
+  // The synchronous barrier round: earliest-finishing selection, the
+  // estimated-arrival cut before synchronization, timing with actual bytes.
   RoundRecord step_sync();
-  // One buffered-async aggregation cycle (DESIGN.md §11).
+  // One buffered-async aggregation cycle (DESIGN.md §11): continuous
+  // dispatch, AsyncUplink arrival order, flow timing at dispatch.
   RoundRecord step_async();
   // Writes the periodic run checkpoint when the cadence says so, attaching
   // the outcome to `record` (before the round hook sees it).
   void maybe_checkpoint(RoundRecord& record);
 
-  std::vector<int> select_participants(int round);
-  // Builds the consistent record for a round that stalled (no aggregation:
-  // every upload lost, quorum missed, or every client crashed).
-  RoundRecord stalled_round(int round, double round_time,
-                            RoundRecord::FaultCounters counters);
-  // Trains every participant (reading global_, filling states/losses by
-  // participant position) — across the pool when it pays, else sequentially.
-  void train_participants(const std::vector<int>& participants,
-                          const LocalTrainOptions& local,
+  // Active clients that are not crashed, ascending.
+  std::vector<int> present_clients() const;
+  // The earliest-finishing fraction of `present` (sync selection).
+  std::vector<int> select_participants(int round,
+                                       const std::vector<int>& present);
+
+  // --- Round stages shared by both engines ---
+  // begin: advances the fault plan to `round` and counts crash onsets;
+  // returns the round's fault tallies with `crashed` filled in.
+  RoundRecord::FaultCounters begin_round(int round);
+  // begin: forces the protocol re-sync of every rejoiner among `ids`
+  // (ascending), tallying it in `fc`; returns the re-download bytes.
+  std::size_t resync_rejoiners(const std::vector<int>& ids,
+                               RoundRecord::FaultCounters& fc);
+  // train: trains `ids` from global_ at `round`'s learning rate, filling
+  // states/losses by position — across the pool when it pays.
+  void train_participants(int round, const std::vector<int>& ids,
                           std::vector<std::vector<float>>& states,
                           std::vector<double>& losses);
+  // deliver: the CRC probe on an upload that arrives corrupt. Flips one bit
+  // keyed on (dispatch_round, client), checks the CRC rejects it, and
+  // counts it in `fc`.
+  void reject_corrupt(const std::vector<float>& state, int dispatch_round,
+                      int client, RoundRecord::FaultCounters& fc) const;
+  // aggregate: synchronizes `views` through the protocol, installs the new
+  // global state, and fills the record's participants, loss and bytes.
+  // Returns the per-participant byte counts for the engine's timing.
+  compress::SyncResult aggregate(
+      const compress::RoundContext& ctx,
+      const std::vector<std::span<const float>>& views, double loss_sum,
+      RoundRecord& record, util::Stopwatch& wall);
+  // commit: the one exit of every round, stalled or not. Sets the clock to
+  // the absolute `elapsed_s`, adds the re-sync bytes, records telemetry and
+  // fault counters (the round stalled iff !fc.quorum_met), evaluates, and
+  // closes the wall phases and fl.round.* metrics.
+  RoundRecord commit(RoundRecord record, double elapsed_s,
+                     const RoundRecord::FaultCounters& fc,
+                     std::size_t resync_bytes, util::Stopwatch& wall);
 
   SimulationOptions options_;
   std::unique_ptr<compress::SyncProtocol> protocol_;
@@ -364,7 +388,6 @@ class Simulation {
   std::vector<InFlight> inflight_;
   std::vector<char> client_busy_;       // has an upload leg in flight
   std::vector<double> client_ready_s_;  // absolute next-dispatch time
-
 };
 
 }  // namespace fedsu::fl

@@ -114,18 +114,39 @@ std::string save_run_checkpoint(const std::string& dir, int round,
                              "': " + ec.message());
   }
 
-  BinaryWriter writer;
-  writer.write_magic(kRunCheckpointMagic);
-  writer.write_u32(kRunCheckpointVersion);
-  writer.write_vector(payload);
-  // CRC-32 footer over everything above; a flipped bit anywhere in the
-  // frame (header, length, or payload) fails verification on load.
-  const std::uint32_t crc = compress::wire::crc32(writer.buffer());
-  writer.write_u32(crc);
+  // Frame: magic, version, write_vector(payload), CRC-32 footer. It is
+  // streamed piece by piece with a running CRC, so the payload is never
+  // copied into a frame-sized buffer. The footer covers everything before
+  // it: a flipped bit anywhere in the frame (header, length, or payload)
+  // fails verification on load.
+  BinaryWriter header;
+  header.write_magic(kRunCheckpointMagic);
+  header.write_u32(kRunCheckpointVersion);
+  header.write_u64(payload.size());
+  BinaryWriter footer;
+  footer.write_u32(compress::wire::crc32(
+      payload, compress::wire::crc32(header.buffer())));
 
   const fs::path final_path = fs::path(dir) / checkpoint_filename(round);
   const fs::path tmp_path = final_path.string() + ".tmp";
-  writer.save_to_file(tmp_path.string());
+  {
+    std::ofstream out(tmp_path, std::ios::binary);
+    if (!out) {
+      throw std::runtime_error("save_run_checkpoint: cannot open '" +
+                               tmp_path.string() + "'");
+    }
+    for (const std::vector<std::uint8_t>* part :
+         {&header.buffer(), &payload, &footer.buffer()}) {
+      out.write(reinterpret_cast<const char*>(part->data()),
+                static_cast<std::streamsize>(part->size()));
+    }
+    out.close();
+    if (!out) {
+      std::remove(tmp_path.string().c_str());
+      throw std::runtime_error("save_run_checkpoint: write failed for '" +
+                               tmp_path.string() + "'");
+    }
+  }
   // std::rename within one directory is atomic on POSIX: readers see either
   // the old file set or the complete new checkpoint, never a torn write.
   if (std::rename(tmp_path.string().c_str(), final_path.string().c_str()) !=

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,6 +207,45 @@ TEST(RunCheckpointFile, AFlippedBitFailsTheCrcBeforeAnyParsing) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
   }
+}
+
+TEST(RunCheckpointFile, StreamedFrameMatchesBufferedFramingByteForByte) {
+  // save_run_checkpoint streams header, payload and CRC footer to the file
+  // without building the frame in memory. The file must hold exactly the
+  // bytes that framing the payload in one BinaryWriter buffer gives.
+  Simulation sim = make_sim(tiny_options());
+  sim.step();
+  const std::vector<std::uint8_t> payload = sim.snapshot_state();
+  io::BinaryWriter framed;
+  framed.write_magic(io::kRunCheckpointMagic);
+  framed.write_u32(io::kRunCheckpointVersion);
+  framed.write_vector(payload);
+  framed.write_u32(compress::wire::crc32(framed.buffer()));
+
+  // The running CRC continues a checksum across a split at any point.
+  const std::span<const std::uint8_t> all(framed.buffer());
+  EXPECT_EQ(compress::wire::crc32(all.subspan(7),
+                                  compress::wire::crc32(all.first(7))),
+            compress::wire::crc32(all));
+
+  const std::string dir = fresh_dir("frame_streamed");
+  const std::string path = io::save_run_checkpoint(dir, 1, payload);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::vector<std::uint8_t> written;
+  {
+    std::ifstream in(path, std::ios::binary);
+    written.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(written, framed.buffer());
+  EXPECT_EQ(io::load_run_checkpoint(path), payload);
+
+  // One flipped payload bit still fails the footer.
+  written[16 + payload.size() / 2] ^= 0x01;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(written.data()),
+             static_cast<std::streamsize>(written.size()));
+  EXPECT_THROW(io::load_run_checkpoint(path), std::runtime_error);
 }
 
 TEST(RunCheckpointFile, WrongMagicIsRejectedEvenWithAValidCrc) {

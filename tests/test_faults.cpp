@@ -393,11 +393,10 @@ TEST(SimulationFaults, RetriesConsumeSimulatedTime) {
 }
 
 TEST(SimulationFaults, TotalLossStallsButStaysSelfConsistent) {
-  // The documented edge of the legacy flat-loss knob, now routed through
-  // the fault plan: a round whose every upload is lost stalls — time
-  // passes, the state stays put, and the record is self-consistent.
+  // A round whose every upload is lost stalls: time passes, the state stays
+  // put, and the record is self-consistent.
   SimulationOptions options = tiny_options();
-  options.upload_loss_probability = 1.0;  // legacy knob, folded at ctor
+  options.faults.upload_loss_probability = 1.0;
   Simulation sim(options, proto_for("fedsu", options.num_clients));
   EXPECT_TRUE(sim.fault_plan().enabled());
   const std::vector<float> before = sim.global_state();

@@ -5,7 +5,6 @@
 #include "nn/batchnorm.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/pooling.h"
@@ -373,54 +372,6 @@ TEST(SoftmaxCrossEntropy, RejectsBadLabels) {
   EXPECT_THROW(loss.forward(logits, {3}), std::invalid_argument);
   EXPECT_THROW(loss.forward(logits, {-1}), std::invalid_argument);
   EXPECT_THROW(loss.forward(logits, {0, 1}), std::invalid_argument);
-}
-
-TEST(Dropout, EvalIsIdentity) {
-  Dropout drop(0.5f, util::Rng(1));
-  util::Rng rng(2);
-  const tensor::Tensor x = random_tensor({3, 5}, rng);
-  const tensor::Tensor y = drop.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainDropsAndRescales) {
-  Dropout drop(0.5f, util::Rng(3));
-  tensor::Tensor x = tensor::Tensor::full({1, 1000}, 1.0f);
-  const tensor::Tensor y = drop.forward(x, /*train=*/true);
-  int zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // inverted-dropout rescale 1/(1-p)
-      sum += y[i];
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.07);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);  // expectation preserved
-}
-
-TEST(Dropout, BackwardMatchesKeepMask) {
-  Dropout drop(0.3f, util::Rng(4));
-  util::Rng rng(5);
-  tensor::Tensor x = random_tensor({2, 50}, rng);
-  const tensor::Tensor y = drop.forward(x, /*train=*/true);
-  tensor::Tensor g = tensor::Tensor::full({2, 50}, 1.0f);
-  const tensor::Tensor dx = drop.backward(g);
-  const float scale = 1.0f / 0.7f;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f && x[i] != 0.0f) {
-      EXPECT_EQ(dx[i], 0.0f);
-    } else {
-      EXPECT_FLOAT_EQ(dx[i], scale);
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(1.0f, util::Rng(1)), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f, util::Rng(1)), std::invalid_argument);
 }
 
 TEST(Accuracy, CountsArgmaxMatches) {

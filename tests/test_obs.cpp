@@ -298,6 +298,32 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
   std::remove(path.c_str());
 }
 
+TEST(Telemetry, StalledRoundsCommitWallPhases) {
+  // Every upload is lost, so every synchronous round and every async cycle
+  // stalls. A stalled round commits like any other: its wall phases are
+  // measured and sum to no more than the whole step.
+  LevelGuard guard;
+  obs::set_level(obs::Level::kMetrics);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    fl::SimulationOptions options = tiny_options();
+    options.faults.upload_loss_probability = 1.0;
+    options.async.enabled = async;
+    options.async.buffer_k = 2;
+    fl::Simulation sim(options, proto_for("fedsu", 4));
+    for (const fl::RoundRecord& r : sim.run(3)) {
+      ASSERT_TRUE(r.faults.has_value());
+      EXPECT_FALSE(r.faults->quorum_met);
+      EXPECT_EQ(r.num_participants, 0);
+      const double phase_sum = r.wall.select_s + r.wall.train_s +
+                               r.wall.sync_s + r.wall.timing_s +
+                               r.wall.eval_s;
+      EXPECT_GT(r.wall.total_s, 0.0);
+      EXPECT_LE(phase_sum, r.wall.total_s * 1.0001 + 1e-9);
+    }
+  }
+}
+
 // Telemetry bytes must equal the protocol's exact serialized payload: for
 // FedSU, one f32 per unpredictable parameter plus one per expiring error
 // scalar, per participant (pinned independently in test_invariants.cpp).
