@@ -8,28 +8,24 @@
 // are tens of Mbps against multi-MB models) places FL on the comm-bound
 // side of.
 #include <cstdio>
-#include <sstream>
 
 #include "common.h"
 #include "util/csv.h"
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 25;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("bandwidths-mbps", "0.05,0.1,0.5,5",
                    "comma list of client bandwidths to sweep");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
-  std::vector<double> bandwidths;
-  std::stringstream ss(flags.get_string("bandwidths-mbps"));
-  for (std::string item; std::getline(ss, item, ',');) {
-    bandwidths.push_back(std::stod(item));
-  }
+  const std::vector<double> bandwidths =
+      bench::parse_list<double>(flags, "bandwidths-mbps");
 
   bench::print_header("Bandwidth sweep: FedSU vs FedAvg total time (" +
                       base.dataset + ", " + std::to_string(base.rounds) +
@@ -64,4 +60,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

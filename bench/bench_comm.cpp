@@ -22,6 +22,7 @@
 // Usage: bench_comm [--out BENCH_comm.json] [--clients-list 8,64,256,1024]
 //                   [--archs logistic,cnn,mlp] [--smoke]
 //                   [+ shared flags: --rounds, --threads, --seed, ...]
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -37,33 +38,33 @@ namespace {
 
 using fedsu::bench::BenchConfig;
 
-std::vector<int> parse_ladder(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int v = std::stoi(item);
-    if (v <= 0) throw std::invalid_argument("clients-list: need positive ints");
-    out.push_back(v);
+std::vector<int> parse_ladder(const fedsu::util::Flags& flags) {
+  const std::vector<int> out =
+      fedsu::bench::parse_list<int>(flags, "clients-list");
+  for (const int v : out) {
+    if (v <= 0) {
+      throw fedsu::bench::UsageError("--clients-list: need positive ints");
+    }
   }
-  if (out.empty()) throw std::invalid_argument("clients-list: empty");
   return out;
 }
 
-std::vector<std::string> parse_names(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+std::vector<std::string> parse_archs(const fedsu::util::Flags& flags) {
+  const std::vector<std::string> out =
+      fedsu::bench::parse_list<std::string>(flags, "archs");
+  const std::vector<std::string> known = fedsu::nn::known_architectures();
+  for (const std::string& arch : out) {
+    if (std::find(known.begin(), known.end(), arch) == known.end()) {
+      throw fedsu::bench::UsageError("--archs: unknown architecture '" +
+                                     arch + "'");
+    }
   }
-  if (out.empty()) throw std::invalid_argument("archs: empty");
   return out;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchConfig defaults;
   defaults.rounds = 4;
   // Sub-phases come from the OBS_SPAN tracer (observation never perturbs
@@ -76,11 +77,11 @@ int main(int argc, char** argv) {
       .add_string("archs", "logistic,cnn,mlp",
                   "model-zoo architectures sizing the synthetic state")
       .add_bool("smoke", false, "CI mode: logistic x {8,32}, 3 rounds");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
-  std::vector<int> ladder = parse_ladder(flags.get_string("clients-list"));
-  std::vector<std::string> archs = parse_names(flags.get_string("archs"));
+  std::vector<int> ladder = parse_ladder(flags);
+  std::vector<std::string> archs = parse_archs(flags);
   if (flags.get_bool("smoke")) {
     ladder = {8, 32};
     archs = {"logistic"};
@@ -266,4 +267,6 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -4,28 +4,24 @@
 // T_R, an over-loose T_S (e.g. 100) costs real accuracy, because T_S
 // directly bounds the accumulated speculation error.
 #include <cstdio>
-#include <sstream>
 
 #include "common.h"
 #include "util/csv.h"
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("ts-values", "0.1,1,10,100",
                    "comma list of T_S values to sweep (paper's set)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = std::max(1, base.eval_every);
 
-  std::vector<double> values;
-  std::stringstream ss(flags.get_string("ts-values"));
-  for (std::string item; std::getline(ss, item, ',');) {
-    values.push_back(std::stod(item));
-  }
+  const std::vector<double> values =
+      bench::parse_list<double>(flags, "ts-values");
 
   bench::print_header("Fig. 10: FedSU sensitivity to T_S (" + base.dataset + ")");
   std::unique_ptr<util::CsvWriter> csv;
@@ -53,4 +49,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -14,13 +14,13 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 40;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_int("params", 2, "number of randomly-sampled parameters to trace");
   flags.add_string("datasets", "emnist,cifar", "datasets to trace");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   const int num_params = static_cast<int>(flags.get_int("params"));
 
@@ -84,4 +84,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

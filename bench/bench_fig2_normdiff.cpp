@@ -36,11 +36,11 @@ std::vector<double> normdiff_series(const bench::BenchConfig& config) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 40;
   util::Flags flags = bench::make_flags(defaults);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
@@ -88,4 +88,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

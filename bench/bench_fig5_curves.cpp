@@ -10,12 +10,12 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("schemes", "fedsu,apf,cmfl,fedavg", "schemes to run");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig config = bench::config_from_flags(flags);
   config.eval_every = std::max(1, config.eval_every);
 
@@ -53,4 +53,6 @@ int main(int argc, char** argv) {
                 run.summary.total_gigabytes);
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

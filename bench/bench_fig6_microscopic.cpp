@@ -17,11 +17,11 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 45;
   util::Flags flags = bench::make_flags(defaults);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig config = bench::config_from_flags(flags);
   config.eval_every = 0;
 
@@ -93,4 +93,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -14,7 +14,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                 "override the profiled v1/v2 speculation period (0 = use the "
                 "period profiled from the FedSU run; the paper profiles 43/58 "
                 "on its long-round workloads)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig config = bench::config_from_flags(flags);
   config.eval_every = std::max(1, config.eval_every);
 
@@ -100,4 +100,6 @@ int main(int argc, char** argv) {
                 summary.best_accuracy, summary.mean_sparsification_ratio);
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -5,28 +5,24 @@
 // the error-feedback mechanism, with only the loosest setting showing a
 // slight degradation.
 #include <cstdio>
-#include <sstream>
 
 #include "common.h"
 #include "util/csv.h"
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("tr-values", "0.2,0.05,0.01,0.001",
                    "comma list of T_R values to sweep");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = std::max(1, base.eval_every);
 
-  std::vector<double> values;
-  std::stringstream ss(flags.get_string("tr-values"));
-  for (std::string item; std::getline(ss, item, ',');) {
-    values.push_back(std::stod(item));
-  }
+  const std::vector<double> values =
+      bench::parse_list<double>(flags, "tr-values");
 
   bench::print_header("Fig. 9: FedSU sensitivity to T_R (" + base.dataset + ")");
   std::unique_ptr<util::CsvWriter> csv;
@@ -57,4 +53,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "obs/json.h"
 #include "tensor/gemm.h"
 #include "util/flags.h"
@@ -128,13 +129,13 @@ double time_gflops(double flops_per_call, double min_ms, const Fn& fn) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   fedsu::util::Flags flags;
   flags.add_string("out", "BENCH_gemm.json", "output JSON path")
       .add_double("min-time-ms", 200.0, "minimum measured time per kernel")
       .add_bool("smoke", false,
                 "CI mode: tiny timing budget, correctness + schema only");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   const double min_ms =
       flags.get_bool("smoke") ? 5.0 : flags.get_double("min-time-ms");
 
@@ -247,4 +248,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -6,7 +6,6 @@
 // with more iterations per round, which is why the paper (50 iters) sees
 // higher ratios than this repo's fast defaults (10 iters).
 #include <cstdio>
-#include <sstream>
 
 #include "common.h"
 #include "metrics/stats.h"
@@ -14,21 +13,18 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 20;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("iteration-counts", "2,5,15",
                    "comma list of local-iteration counts to sweep");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
-  std::vector<int> counts;
-  std::stringstream ss(flags.get_string("iteration-counts"));
-  for (std::string item; std::getline(ss, item, ',');) {
-    counts.push_back(std::stoi(item));
-  }
+  const std::vector<int> counts =
+      bench::parse_list<int>(flags, "iteration-counts");
 
   bench::print_header(
       "Iterations ablation: round-update smoothness vs local iterations (" +
@@ -83,4 +79,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -158,7 +158,7 @@ int smoke_mode(const BenchConfig& base, const std::string& scheme) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchConfig defaults;
   defaults.rounds = 12;
   fedsu::util::Flags flags = fedsu::bench::make_flags(defaults);
@@ -167,10 +167,12 @@ int main(int argc, char** argv) {
                   "write the final model CRC-32 (hex) to this file")
       .add_bool("smoke", false,
                 "in-process kill/restore/bitwise-compare ladder, sync + async");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   const BenchConfig config = fedsu::bench::config_from_flags(flags);
   const std::string scheme = flags.get_string("scheme");
   fedsu::bench::print_header("Crash recovery (docs/RECOVERY.md)");
   if (flags.get_bool("smoke")) return smoke_mode(config, scheme);
   return run_mode(config, flags, scheme, flags.get_string("model-crc-out"));
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -95,7 +95,7 @@ struct AsyncTotals {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchConfig defaults;
   defaults.rounds = 40;
   defaults.eval_every = 2;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   flags.add_string("out", "BENCH_robustness.json", "output JSON path")
       .add_double("target", 0.55, "accuracy target for time-to-accuracy")
       .add_bool("smoke", false, "CI mode: tiny workload, schema check only");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
   if (flags.get_bool("smoke")) {
@@ -305,4 +305,6 @@ int main(int argc, char** argv) {
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

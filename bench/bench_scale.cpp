@@ -42,20 +42,18 @@ namespace {
 
 using fedsu::bench::BenchConfig;
 
-std::vector<int> parse_ladder(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int v = std::stoi(item);
-    if (v <= 0) throw std::invalid_argument("clients-list: need positive ints");
-    if (!out.empty() && v <= out.back()) {
-      throw std::invalid_argument(
-          "clients-list: must be strictly ascending (peak RSS is monotone)");
+std::vector<int> parse_ladder(const fedsu::util::Flags& flags) {
+  const std::vector<int> out =
+      fedsu::bench::parse_list<int>(flags, "clients-list");
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i] <= 0) {
+      throw fedsu::bench::UsageError("--clients-list: need positive ints");
     }
-    out.push_back(v);
+    if (i > 0 && out[i] <= out[i - 1]) {
+      throw fedsu::bench::UsageError(
+          "--clients-list: must be strictly ascending (peak RSS is monotone)");
+    }
   }
-  if (out.empty()) throw std::invalid_argument("clients-list: empty");
   return out;
 }
 
@@ -71,7 +69,7 @@ double phase_ms_per_round(const std::vector<fedsu::obs::PhaseTotal>& totals,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchConfig defaults;
   defaults.rounds = 4;
   defaults.iterations = 2;
@@ -87,10 +85,10 @@ int main(int argc, char** argv) {
       .add_string("clients-list", "8,32,128,512,1024",
                   "ascending cohort ladder (comma-separated)")
       .add_bool("smoke", false, "CI mode: tiny workload, ladder {8,32}");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
-  std::vector<int> ladder = parse_ladder(flags.get_string("clients-list"));
+  std::vector<int> ladder = parse_ladder(flags);
   if (flags.get_bool("smoke")) {
     ladder = {8, 32};
     config.rounds = 3;
@@ -271,4 +269,6 @@ int main(int argc, char** argv) {
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -23,7 +23,7 @@ struct ModelTask {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("models", "cnn,resnet,densenet",
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.add_bool("speedup-vs-serial", false,
                  "rerun each task's fedavg at --threads 1 and report the "
                  "wall-clock speedup of the configured thread count");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   const bool speedup_vs_serial = flags.get_bool("speedup-vs-serial");
   bench::RunObservatory observatory(base, "bench_table1_time_to_accuracy",
@@ -136,4 +136,6 @@ int main(int argc, char** argv) {
   observatory.finish(/*ok=*/true);
   bench::export_observability(base);
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -3,19 +3,20 @@
 // while an Eq.-13 schedule drives the whole bound to 0 as T grows.
 #include <cstdio>
 
+#include "common.h"
 #include "core/theory.h"
 #include "nn/schedule.h"
 #include "util/flags.h"
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_double("beta", 1.0, "smoothness constant (Assumption 1)")
       .add_double("sigma2", 1.0, "gradient bound sigma^2 (Assumption 2)")
       .add_double("gap", 1.0, "initial optimality gap F(x0) - F*")
       .add_double("lr", 0.1, "base learning rate");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
 
   core::TheoryParams params;
   params.beta = flags.get_double("beta");
@@ -53,4 +54,6 @@ int main(int argc, char** argv) {
               "inverse-sqrt schedule drives every term to 0, Theorem 1's "
               "convergence condition Eq. 13.)\n");
   return 0;
+} catch (const fedsu::bench::UsageError& e) {
+  return fedsu::bench::usage_exit(argv[0], e);
 }

@@ -13,7 +13,10 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
@@ -100,6 +103,65 @@ struct BenchConfig {
   int checkpoint_keep = 0;
   bool resume = false;
 };
+
+// A bad command line. Every bench main catches it and exits 2 with one
+// line on stderr (usage_exit) instead of dying in std::terminate.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// util::Flags::parse, with its errors (unknown flag, missing or bad value)
+// cut to their first line and rethrown as UsageError. Returns false after
+// --help.
+inline bool parse_flags(util::Flags& flags, int argc, char** argv) {
+  try {
+    return flags.parse(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    throw UsageError(what.substr(0, what.find('\n')) +
+                     " (--help lists the flags)");
+  }
+}
+
+// Splits the comma-separated value of string flag --`name` into items of
+// type T (int, double or std::string). Every item must be non-empty and,
+// for numbers, parse in full; an empty list is an error too.
+template <typename T>
+std::vector<T> parse_list(const util::Flags& flags, const std::string& name) {
+  const std::string csv = flags.get_string(name);
+  std::vector<T> out;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t end = std::min(csv.find(',', begin), csv.size());
+    const std::string item = csv.substr(begin, end - begin);
+    const std::string bad = "--" + name + ": bad item '" + item + "' in '" +
+                            csv + "'";
+    if (item.empty()) throw UsageError(bad);
+    if constexpr (std::is_same_v<T, std::string>) {
+      out.push_back(item);
+    } else {
+      std::size_t used = 0;
+      try {
+        if constexpr (std::is_same_v<T, int>) {
+          out.push_back(std::stoi(item, &used));
+        } else {
+          out.push_back(std::stod(item, &used));
+        }
+      } catch (const std::exception&) {
+        throw UsageError(bad);
+      }
+      if (used != item.size()) throw UsageError(bad);
+    }
+    if (end == csv.size()) return out;
+    begin = end + 1;
+  }
+}
+
+// The catch clause of every bench main: reports `e` and returns exit code 2.
+inline int usage_exit(const char* argv0, const UsageError& e) {
+  std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+  return 2;
+}
 
 inline util::Flags make_flags(const BenchConfig& defaults) {
   util::Flags flags;

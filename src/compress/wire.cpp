@@ -163,20 +163,45 @@ QuantizedPayload decode_quantized(const std::vector<std::uint8_t>& bytes,
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t running) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: table[0] is the classic reflected byte table and
+  // table[k][i] is byte i's CRC advanced by k more zero bytes, so eight
+  // independent lookups fold eight input bytes per step.
+  using Table = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Table table = [] {
+    Table t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
+  auto load_le32 = [](const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  };
   std::uint32_t crc = running ^ 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+          table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = table[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -671,11 +671,12 @@ RoundRecord Simulation::step_sync() {
 // One buffered-async aggregation cycle (DESIGN.md §11). The barrier is
 // gone: every idle client is dispatched against the current model version,
 // uploads contend on the shared ingress link across cycles (AsyncUplink
-// keeps the full flow history), and the server aggregates as soon as the
-// first K deliverable uploads have arrived on the simulated clock. Stale
-// updates are re-based onto the current model with the 1/(1+s)^alpha
-// discount; aggregation order is (arrival time, seed-keyed tiebreak,
-// client id), so results are bitwise identical for every --threads value.
+// settles the flow history incrementally), and the server aggregates as
+// soon as the first K deliverable uploads have arrived on the simulated
+// clock. Stale updates are re-based onto the current model with the
+// 1/(1+s)^alpha discount; aggregation order is (arrival time, seed-keyed
+// tiebreak, client id), so results are bitwise identical for every
+// --threads value.
 RoundRecord Simulation::step_async() {
   const int round = round_;
   util::Stopwatch wall;
@@ -708,6 +709,13 @@ RoundRecord Simulation::step_async() {
   std::vector<double> losses(dispatch_ids.size(), 0.0);
   train_participants(round, dispatch_ids, states, losses);
   lap(wall, record.wall.train_s);
+
+  // Every flow dispatched from here on starts at or after this cycle's
+  // start, so the uplink settles its contention history up to it.
+  {
+    OBS_SPAN("sim.timing");
+    uplink_->advance(cycle_start_s);
+  }
 
   // Register the new upload flows. Flow timing uses the dispatch-time
   // payload estimate (actual bytes exist only after synchronization — the
@@ -1315,7 +1323,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
       }
       leg.dispatch_global = bases[base];
     }
-    uplink_->restore_flows(std::move(flows));
+    uplink_->restore_flows(flows);
     std::copy(busy.begin(), busy.end(), client_busy_.begin());
     client_ready_s_ = std::move(ready);
     inflight_ = std::move(inflight);

@@ -1,6 +1,8 @@
 #include "net/async_queue.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -22,37 +24,51 @@ std::uint64_t arrival_tiebreak(std::uint64_t seed, int client, int version) {
   return x;
 }
 
-AsyncUplink::AsyncUplink(double server_bps) : server_bps_(server_bps) {
-  if (server_bps <= 0.0) {
-    throw std::invalid_argument("AsyncUplink: server_bps <= 0");
+AsyncUplink::AsyncUplink(double server_bps) : settled_(server_bps) {}
+
+void AsyncUplink::advance(double frontier_s) {
+  if (frontier_s < frontier_s_) {
+    throw std::logic_error("AsyncUplink: frontier moved backwards");
   }
+  frontier_s_ = frontier_s;
+  settled_.settle(frontier_s_);
+  projected_.clear();
 }
 
 std::size_t AsyncUplink::add(double start_s, double bytes,
                              double rate_cap_bps) {
-  Flow flow;
-  flow.start_time_s = start_s;
-  flow.bytes = bytes;
-  flow.rate_cap_bps = rate_cap_bps;
-  flows_.push_back(flow);
-  dirty_ = true;
-  return flows_.size() - 1;
+  if (start_s < frontier_s_) {
+    throw std::logic_error("AsyncUplink: flow starts before the frontier");
+  }
+  projected_.clear();
+  return settled_.add(Flow{start_s, bytes, rate_cap_bps});
 }
 
 double AsyncUplink::completion_s(std::size_t flow) {
-  if (flow >= flows_.size()) {
+  if (flow >= settled_.size()) {
     throw std::out_of_range("AsyncUplink: bad flow id");
   }
-  if (dirty_) {
+  const std::vector<std::size_t>& open = settled_.unfinished_ids();
+  const auto it = std::lower_bound(open.begin(), open.end(), flow);
+  if (it == open.end() || *it != flow) return settled_.finish_time_s(flow);
+  if (projected_.empty()) {
     OBS_SPAN("net.async_uplink");
-    const auto results = simulate_shared_link(flows_, server_bps_);
-    done_.resize(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      done_[i] = results[i].finish_time_s;
+    SharedLink projection = settled_.unfinished_copy();
+    projection.settle();
+    projected_.resize(open.size());
+    for (std::size_t k = 0; k < open.size(); ++k) {
+      projected_[k] = projection.finish_time_s(k);
     }
-    dirty_ = false;
   }
-  return done_[flow];
+  return projected_[static_cast<std::size_t>(it - open.begin())];
+}
+
+void AsyncUplink::restore_flows(const std::vector<Flow>& flows) {
+  SharedLink link(settled_.bottleneck_bps());
+  for (const Flow& flow : flows) link.add(flow);
+  settled_ = std::move(link);
+  frontier_s_ = 0.0;
+  projected_.clear();
 }
 
 }  // namespace fedsu::net

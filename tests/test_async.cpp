@@ -3,9 +3,13 @@
 // degeneration, and the fault × buffering reconciliation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,6 +101,92 @@ TEST(AsyncUplink, AppendingLaterFlowsLeavesEarlierCompletionsBitwise) {
   EXPECT_EQ(uplink.completion_s(f1), c1);
   EXPECT_GT(uplink.completion_s(f2), c1);
   EXPECT_EQ(uplink.size(), 3u);
+}
+
+// Differential check of incremental settling: random flow batches appended
+// at increasing frontiers, each compared bit for bit against one
+// simulate_shared_link pass over the same flows. A second uplink restored
+// from the history mid-stream must continue identically.
+TEST(AsyncUplink, IncrementalSettlingMatchesFullReplayBitwise) {
+  const double server_bps = 4e6;
+  std::mt19937_64 rng(2025);
+  auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  auto coin = [&](double p) { return uniform(0.0, 1.0) < p; };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  net::AsyncUplink uplink(server_bps);
+  std::unique_ptr<net::AsyncUplink> restored;
+  std::vector<net::Flow> history;
+  double frontier = 0.0;
+  int flows_at_frontier = 0, zero_byte = 0, idle_gaps = 0;
+  for (int batch = 0; batch < 60; ++batch) {
+    uplink.advance(frontier);
+    if (restored) restored->advance(frontier);
+    const int count = 1 + static_cast<int>(uniform(0.0, 12.0));
+    for (int f = 0; f < count; ++f) {
+      net::Flow flow;
+      const bool at_frontier = coin(0.3);
+      flow.start_time_s =
+          at_frontier ? frontier : frontier + uniform(0.0, 3.0);
+      flow.bytes = coin(0.1) ? 0.0 : uniform(1e3, 6e5);
+      // Flows capped below the link rate mixed with effectively uncapped
+      // ones.
+      flow.rate_cap_bps = coin(0.5) ? uniform(2e5, 1.5e6) : 1e12;
+      flows_at_frontier += at_frontier;
+      zero_byte += flow.bytes == 0.0;
+      const std::size_t id =
+          uplink.add(flow.start_time_s, flow.bytes, flow.rate_cap_bps);
+      ASSERT_EQ(id, history.size());
+      if (restored) {
+        ASSERT_EQ(restored->add(flow.start_time_s, flow.bytes,
+                                flow.rate_cap_bps),
+                  id);
+      }
+      history.push_back(flow);
+    }
+
+    const auto full = net::simulate_shared_link(history, server_bps);
+    std::vector<double> finishes;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      const double c = uplink.completion_s(i);
+      ASSERT_EQ(bits(c), bits(full[i].finish_time_s))
+          << "batch " << batch << " flow " << i;
+      if (restored) {
+        ASSERT_EQ(bits(restored->completion_s(i)), bits(c))
+            << "restored, batch " << batch << " flow " << i;
+      }
+      if (c > frontier) finishes.push_back(c);
+    }
+
+    if (batch == 25) {
+      restored = std::make_unique<net::AsyncUplink>(server_bps);
+      restored->restore_flows(uplink.flows());
+    }
+    // Next frontier, as the engine picks it: some pending completion (the
+    // K-th arrival), an idle gap past every flow, or no move at all.
+    std::sort(finishes.begin(), finishes.end());
+    const double roll = uniform(0.0, 1.0);
+    if (roll < 0.15 || finishes.empty()) {
+      const double last = finishes.empty() ? frontier : finishes.back();
+      frontier = last + uniform(0.5, 4.0);
+      ++idle_gaps;
+    } else if (roll < 0.85) {
+      frontier = finishes[static_cast<std::size_t>(
+          uniform(0.0, static_cast<double>(finishes.size())))];
+    }
+  }
+  EXPECT_GT(flows_at_frontier, 0);
+  EXPECT_GT(zero_byte, 0);
+  EXPECT_GT(idle_gaps, 0);
+
+  uplink.advance(frontier);
+  EXPECT_THROW(uplink.add(std::nextafter(frontier, 0.0), 100.0, 1e6),
+               std::logic_error);
+  EXPECT_THROW(uplink.advance(std::nextafter(frontier, 0.0)),
+               std::logic_error);
+  EXPECT_NO_THROW(uplink.add(frontier, 100.0, 1e6));
 }
 
 // --- §5b determinism, extended to the async engine -------------------------

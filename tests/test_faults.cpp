@@ -80,6 +80,44 @@ TEST(Crc32, DetectsEverySingleBitFlip) {
   }
 }
 
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  // The table CRC folds eight bytes per step; a plain bit-at-a-time CRC is
+  // the reference. Lengths 0-64 at offsets 0-7 cover every head/tail shape,
+  // and every split point checks the `running` continuation.
+  auto reference = [](const std::uint8_t* p, std::size_t n,
+                      std::uint32_t running) {
+    std::uint32_t crc = running ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> buf(64 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> all(buf.data() + offset, len);
+      const std::uint32_t want = reference(all.data(), len, 0);
+      ASSERT_EQ(compress::wire::crc32(all), want)
+          << "offset " << offset << " len " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(compress::wire::crc32(all.subspan(split),
+                                        compress::wire::crc32(
+                                            all.first(split))),
+                  want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
 // --- the plan itself -------------------------------------------------------
 
 TEST(FaultPlan, ZeroRatesStayDisabled) {
