@@ -22,7 +22,6 @@
 // Usage: bench_comm [--out BENCH_comm.json] [--clients-list 8,64,256,1024]
 //                   [--archs logistic,cnn,mlp] [--smoke]
 //                   [+ shared flags: --rounds, --threads, --seed, ...]
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -43,20 +42,7 @@ std::vector<int> parse_ladder(const fedsu::util::Flags& flags) {
       fedsu::bench::parse_list<int>(flags, "clients-list");
   for (const int v : out) {
     if (v <= 0) {
-      throw fedsu::bench::UsageError("--clients-list: need positive ints");
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> parse_archs(const fedsu::util::Flags& flags) {
-  const std::vector<std::string> out =
-      fedsu::bench::parse_list<std::string>(flags, "archs");
-  const std::vector<std::string> known = fedsu::nn::known_architectures();
-  for (const std::string& arch : out) {
-    if (std::find(known.begin(), known.end(), arch) == known.end()) {
-      throw fedsu::bench::UsageError("--archs: unknown architecture '" +
-                                     arch + "'");
+      throw fedsu::util::UsageError("--clients-list: need positive ints");
     }
   }
   return out;
@@ -77,11 +63,12 @@ int main(int argc, char** argv) try {
       .add_string("archs", "logistic,cnn,mlp",
                   "model-zoo architectures sizing the synthetic state")
       .add_bool("smoke", false, "CI mode: logistic x {8,32}, 3 rounds");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
   std::vector<int> ladder = parse_ladder(flags);
-  std::vector<std::string> archs = parse_archs(flags);
+  std::vector<std::string> archs = fedsu::bench::parse_names(
+      flags, "archs", fedsu::nn::known_architectures());
   if (flags.get_bool("smoke")) {
     ladder = {8, 32};
     archs = {"logistic"};
@@ -267,6 +254,6 @@ int main(int argc, char** argv) try {
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

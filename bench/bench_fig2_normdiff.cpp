@@ -40,7 +40,7 @@ int main(int argc, char** argv) try {
   bench::BenchConfig defaults;
   defaults.rounds = 40;
   util::Flags flags = bench::make_flags(defaults);
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
@@ -88,6 +88,6 @@ int main(int argc, char** argv) try {
     }
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) try {
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("schemes", "fedsu,apf,cmfl,fedavg", "schemes to run");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig config = bench::config_from_flags(flags);
   config.eval_every = std::max(1, config.eval_every);
 
@@ -53,6 +53,6 @@ int main(int argc, char** argv) try {
                 run.summary.total_gigabytes);
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

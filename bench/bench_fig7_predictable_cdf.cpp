@@ -6,6 +6,7 @@
 // (the paper reports >80% of parameters linear for >50% of the time over
 // hundreds of rounds; shorter scaled runs shift the curve left but keep the
 // heavy-tailed shape).
+#include <algorithm>
 #include <cstdio>
 
 #include "common.h"
@@ -20,13 +21,17 @@ int main(int argc, char** argv) try {
   defaults.rounds = 60;
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("datasets", "emnist", "datasets to run (comma list)");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
-  for (const std::string dataset : {std::string("emnist"), std::string("fmnist"),
-                                    std::string("cifar")}) {
-    if (flags.get_string("datasets").find(dataset) == std::string::npos) continue;
+  const std::vector<std::string> datasets =
+      bench::parse_names(flags, "datasets", {"emnist", "fmnist", "cifar"});
+  for (const std::string dataset : {"emnist", "fmnist", "cifar"}) {
+    if (std::find(datasets.begin(), datasets.end(), dataset) ==
+        datasets.end()) {
+      continue;
+    }
     bench::BenchConfig config = base;
     config.dataset = dataset;
     if (dataset != "emnist") config.rounds = std::min(config.rounds, 40);
@@ -62,6 +67,6 @@ int main(int argc, char** argv) try {
     }
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -22,7 +22,7 @@ int main(int argc, char** argv) try {
                 "override the profiled v1/v2 speculation period (0 = use the "
                 "period profiled from the FedSU run; the paper profiles 43/58 "
                 "on its long-round workloads)");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig config = bench::config_from_flags(flags);
   config.eval_every = std::max(1, config.eval_every);
 
@@ -57,15 +57,15 @@ int main(int argc, char** argv) try {
 
   // Pass 2 and 3: the ablation variants with profiled settings.
   fl::ProtocolConfig v1_config = bench::protocol_config(config, "fedsu-v1");
-  v1_config.fedsu_v1.fixed_period = fixed_period;
+  v1_config.fedsu.initial_no_check = fixed_period;
   fl::Simulation v1_sim(bench::simulation_options(config),
                         fl::make_protocol(v1_config));
   std::vector<fl::RoundRecord> v1_records;
   for (int r = 0; r < config.rounds; ++r) v1_records.push_back(v1_sim.step());
 
   fl::ProtocolConfig v2_config = bench::protocol_config(config, "fedsu-v2");
-  v2_config.fedsu_v2.fixed_period = fixed_period;
-  v2_config.fedsu_v2.enter_probability = enter_probability;
+  v2_config.fedsu.initial_no_check = fixed_period;
+  v2_config.fedsu.enter_probability = enter_probability;
   fl::Simulation v2_sim(bench::simulation_options(config),
                         fl::make_protocol(v2_config));
   std::vector<fl::RoundRecord> v2_records;
@@ -100,6 +100,6 @@ int main(int argc, char** argv) try {
                 summary.best_accuracy, summary.mean_sparsification_ratio);
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -135,7 +135,7 @@ int main(int argc, char** argv) try {
       .add_double("min-time-ms", 200.0, "minimum measured time per kernel")
       .add_bool("smoke", false,
                 "CI mode: tiny timing budget, correctness + schema only");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   const double min_ms =
       flags.get_bool("smoke") ? 5.0 : flags.get_double("min-time-ms");
 
@@ -248,6 +248,6 @@ int main(int argc, char** argv) try {
     return 1;
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -19,7 +19,7 @@ int main(int argc, char** argv) try {
   util::Flags flags = bench::make_flags(defaults);
   flags.add_string("iteration-counts", "2,5,15",
                    "comma list of local-iteration counts to sweep");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
@@ -79,6 +79,6 @@ int main(int argc, char** argv) try {
     }
   }
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

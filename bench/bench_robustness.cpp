@@ -103,7 +103,7 @@ int main(int argc, char** argv) try {
   flags.add_string("out", "BENCH_robustness.json", "output JSON path")
       .add_double("target", 0.55, "accuracy target for time-to-accuracy")
       .add_bool("smoke", false, "CI mode: tiny workload, schema check only");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
   if (flags.get_bool("smoke")) {
@@ -305,6 +305,6 @@ int main(int argc, char** argv) try {
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -47,10 +47,10 @@ std::vector<int> parse_ladder(const fedsu::util::Flags& flags) {
       fedsu::bench::parse_list<int>(flags, "clients-list");
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] <= 0) {
-      throw fedsu::bench::UsageError("--clients-list: need positive ints");
+      throw fedsu::util::UsageError("--clients-list: need positive ints");
     }
     if (i > 0 && out[i] <= out[i - 1]) {
-      throw fedsu::bench::UsageError(
+      throw fedsu::util::UsageError(
           "--clients-list: must be strictly ascending (peak RSS is monotone)");
     }
   }
@@ -85,7 +85,7 @@ int main(int argc, char** argv) try {
       .add_string("clients-list", "8,32,128,512,1024",
                   "ascending cohort ladder (comma-separated)")
       .add_bool("smoke", false, "CI mode: tiny workload, ladder {8,32}");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
   std::vector<int> ladder = parse_ladder(flags);
@@ -269,6 +269,6 @@ int main(int argc, char** argv) try {
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -4,6 +4,7 @@
 // Paper shape to reproduce: FedSU has the lowest per-round time and total
 // time for every model; its round count stays close to FedAvg's (no
 // statistical penalty from sparsification); APF/CMFL land in between.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -34,24 +35,28 @@ int main(int argc, char** argv) try {
   flags.add_bool("speedup-vs-serial", false,
                  "rerun each task's fedavg at --threads 1 and report the "
                  "wall-clock speedup of the configured thread count");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
+  const std::vector<std::string> models =
+      bench::parse_names(flags, "models", {"cnn", "resnet", "densenet"});
   bench::BenchConfig base = bench::config_from_flags(flags);
   const bool speedup_vs_serial = flags.get_bool("speedup-vs-serial");
   bench::RunObservatory observatory(base, "bench_table1_time_to_accuracy",
                                     &flags);
 
-  const std::string models = flags.get_string("models");
+  auto wanted = [&](const char* model) {
+    return std::find(models.begin(), models.end(), model) != models.end();
+  };
   std::vector<ModelTask> tasks;
-  if (models.find("cnn") != std::string::npos) {
+  if (wanted("cnn")) {
     tasks.push_back({"emnist", static_cast<float>(flags.get_double("target-cnn")),
                      55, 0.03});
   }
-  if (models.find("resnet") != std::string::npos) {
+  if (wanted("resnet")) {
     tasks.push_back({"fmnist",
                      static_cast<float>(flags.get_double("target-resnet")), 45,
                      0.03});
   }
-  if (models.find("densenet") != std::string::npos) {
+  if (wanted("densenet")) {
     tasks.push_back({"cifar",
                      static_cast<float>(flags.get_double("target-densenet")),
                      30, 0.03});
@@ -136,6 +141,6 @@ int main(int argc, char** argv) try {
   observatory.finish(/*ok=*/true);
   bench::export_observability(base);
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -16,7 +16,7 @@ int main(int argc, char** argv) try {
       .add_double("sigma2", 1.0, "gradient bound sigma^2 (Assumption 2)")
       .add_double("gap", 1.0, "initial optimality gap F(x0) - F*")
       .add_double("lr", 0.1, "base learning rate");
-  if (!fedsu::bench::parse_flags(flags, argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   core::TheoryParams params;
   params.beta = flags.get_double("beta");
@@ -54,6 +54,6 @@ int main(int argc, char** argv) try {
               "inverse-sqrt schedule drives every term to 0, Theorem 1's "
               "convergence condition Eq. 13.)\n");
   return 0;
-} catch (const fedsu::bench::UsageError& e) {
-  return fedsu::bench::usage_exit(argv[0], e);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

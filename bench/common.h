@@ -104,25 +104,6 @@ struct BenchConfig {
   bool resume = false;
 };
 
-// A bad command line. Every bench main catches it and exits 2 with one
-// line on stderr (usage_exit) instead of dying in std::terminate.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-// util::Flags::parse, with its errors (unknown flag, missing or bad value)
-// cut to their first line and rethrown as UsageError. Returns false after
-// --help.
-inline bool parse_flags(util::Flags& flags, int argc, char** argv) {
-  try {
-    return flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    const std::string what = e.what();
-    throw UsageError(what.substr(0, what.find('\n')) +
-                     " (--help lists the flags)");
-  }
-}
-
 // Splits the comma-separated value of string flag --`name` into items of
 // type T (int, double or std::string). Every item must be non-empty and,
 // for numbers, parse in full; an empty list is an error too.
@@ -136,7 +117,7 @@ std::vector<T> parse_list(const util::Flags& flags, const std::string& name) {
     const std::string item = csv.substr(begin, end - begin);
     const std::string bad = "--" + name + ": bad item '" + item + "' in '" +
                             csv + "'";
-    if (item.empty()) throw UsageError(bad);
+    if (item.empty()) throw util::UsageError(bad);
     if constexpr (std::is_same_v<T, std::string>) {
       out.push_back(item);
     } else {
@@ -148,19 +129,30 @@ std::vector<T> parse_list(const util::Flags& flags, const std::string& name) {
           out.push_back(std::stod(item, &used));
         }
       } catch (const std::exception&) {
-        throw UsageError(bad);
+        throw util::UsageError(bad);
       }
-      if (used != item.size()) throw UsageError(bad);
+      if (used != item.size()) throw util::UsageError(bad);
     }
     if (end == csv.size()) return out;
     begin = end + 1;
   }
 }
 
-// The catch clause of every bench main: reports `e` and returns exit code 2.
-inline int usage_exit(const char* argv0, const UsageError& e) {
-  std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-  return 2;
+// parse_list<std::string> whose items must each be one of `known`,
+// matched exactly.
+inline std::vector<std::string> parse_names(
+    const util::Flags& flags, const std::string& name,
+    const std::vector<std::string>& known) {
+  std::vector<std::string> out = parse_list<std::string>(flags, name);
+  for (const std::string& item : out) {
+    if (std::find(known.begin(), known.end(), item) == known.end()) {
+      std::string list;
+      for (const std::string& k : known) list += (list.empty() ? "" : ", ") + k;
+      throw util::UsageError("--" + name + ": unknown name '" + item +
+                             "' (known: " + list + ")");
+    }
+  }
+  return out;
 }
 
 inline util::Flags make_flags(const BenchConfig& defaults) {
@@ -452,7 +444,6 @@ inline fl::ProtocolConfig protocol_config(const BenchConfig& config,
   pc.fedsu.t_r = config.t_r;
   pc.fedsu.t_s = config.t_s;
   pc.fedsu.initial_no_check = config.no_check;
-  pc.fedsu_v1.t_r = config.t_r;
   pc.cmfl_relevance = config.cmfl_relevance;
   return pc;
 }

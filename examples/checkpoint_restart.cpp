@@ -37,12 +37,12 @@ fl::ProtocolConfig fedsu_config() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 12, "rounds before AND after the restart")
       .add_string("path", "/tmp/fedsu_example_checkpoint.bin",
                   "checkpoint file path");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   const int rounds = static_cast<int>(flags.get_int("rounds"));
   const std::string path = flags.get_string("path");
 
@@ -86,4 +86,6 @@ int main(int argc, char** argv) {
   }
   std::remove(path.c_str());
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

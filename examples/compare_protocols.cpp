@@ -12,13 +12,13 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds per scheme")
       .add_int("clients", 8, "number of clients")
       .add_string("dataset", "emnist", "emnist | fmnist | cifar")
       .add_double("bandwidth-mbps", 0.25, "client link bandwidth");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   std::printf("%-10s %10s %12s %14s %12s\n", "scheme", "best acc",
               "sim time (s)", "data moved (MB)", "mean ratio");
@@ -43,6 +43,9 @@ int main(int argc, char** argv) {
     fl::ProtocolConfig protocol;
     protocol.name = name;
     protocol.num_clients = options.num_clients;
+    if (name == "fedsu-v1" || name == "fedsu-v2") {
+      protocol.fedsu.initial_no_check = 43;  // the paper's Fig. 8 period
+    }
 
     fl::Simulation sim(options, fl::make_protocol(protocol));
     const auto records = sim.run(static_cast<int>(flags.get_int("rounds")));
@@ -53,4 +56,6 @@ int main(int argc, char** argv) {
                 summary.mean_sparsification_ratio);
   }
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -78,11 +78,11 @@ fl::SimulationOptions workload() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds")
       .add_double("fraction", 0.3, "random-k synchronized fraction");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   const int rounds = static_cast<int>(flags.get_int("rounds"));
 
   // Custom protocol run...
@@ -104,4 +104,6 @@ int main(int argc, char** argv) {
               "FedSU (see quickstart) chooses WHICH coordinates to skip using "
               "trajectory linearity, keeping accuracy intact.\n");
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -18,12 +18,13 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 25, "FL rounds").add_int("clients", 4, "clients");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   const int rounds = static_cast<int>(flags.get_int("rounds"));
   const int num_clients = static_cast<int>(flags.get_int("clients"));
+  if (num_clients < 1) throw util::UsageError("--clients must be >= 1");
 
   // Data + per-client shards.
   data::SyntheticSpec dspec = data::synthetic_preset("emnist");
@@ -90,8 +91,14 @@ int main(int argc, char** argv) {
                   100.0 * managers[0].predictable_fraction());
     }
   }
-  // All replicas hold the same state — pick any for a final sanity print.
+  // All replicas hold the same state.
+  bool identical = true;
+  for (const auto& manager : managers) {
+    identical = identical && manager.state() == managers[0].state();
+  }
   std::printf("\nall %d client replicas identical: %s\n", num_clients,
-              managers[0].state() == managers[1].state() ? "yes" : "NO");
+              identical ? "yes" : "NO");
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

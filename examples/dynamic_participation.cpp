@@ -13,10 +13,10 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 36, "total FL rounds");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   const int rounds = static_cast<int>(flags.get_int("rounds"));
 
   fl::SimulationOptions options;
@@ -60,4 +60,6 @@ int main(int argc, char** argv) {
   }
   std::printf("final accuracy: %.3f\n", sim.evaluate());
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -12,11 +12,11 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds per alpha")
       .add_int("clients", 8, "number of clients");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   std::printf("%-8s | %-22s | %-22s\n", "alpha", "FedAvg best acc",
               "FedSU best acc / ratio");
@@ -51,4 +51,6 @@ int main(int argc, char** argv) {
                 100.0 * ratio);
   }
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -21,7 +21,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags;
   flags.add_int("rounds", 20, "FL rounds to run")
       .add_int("clients", 8, "number of clients")
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                "async server buffer size K (0 = half the cohort)")
       .add_double("staleness-alpha", 0.5,
                   "async staleness discount exponent (0 = unweighted)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
   util::ThreadPool::set_global_threads(
       static_cast<int>(flags.get_int("threads")));
 
@@ -112,4 +112,6 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n", trace_out.c_str());
   }
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -11,7 +11,9 @@
 //     aggregates, applies speculative updates, runs the error-feedback
 //     checks and refreshes the predictability mask — all from
 //     globally-identical quantities, so every client's masks stay
-//     bit-identical with NO mask traffic.
+//     bit-identical with NO mask traffic. The state machine is the same
+//     core::FedSuState the centralized manager runs; the client adds one
+//     local error accumulator.
 //   * FedSuServer — Central_Server of Algorithm 1: positional averaging of
 //     the clients' payloads (AGGREGATE_MODEL / AGGREGATE_ERROR).
 //
@@ -22,8 +24,7 @@
 #include <span>
 #include <vector>
 
-#include "core/fedsu_manager.h"
-#include "core/oscillation.h"
+#include "core/fedsu_state.h"
 
 namespace fedsu::core {
 
@@ -78,24 +79,22 @@ class FedSuClientManager {
   std::vector<float> finish_sync(const FedSuDownload& download);
 
   const std::vector<std::uint8_t>& predictable_mask() const {
-    return predictable_;
+    return state_.mask();
   }
-  double predictable_fraction() const;
+  double predictable_fraction() const { return state_.predictable_fraction(); }
   const std::vector<float>& state() const { return global_; }
   std::size_t state_size() const { return global_.size(); }
 
  private:
-  FedSuOptions options_;
+  FedSuState state_;
   std::vector<float> global_;
-  OscillationTracker osc_{0};
-  std::vector<std::uint8_t> predictable_;
-  std::vector<float> slope_;
-  std::vector<std::int32_t> no_check_period_;
-  std::vector<std::int32_t> no_check_remaining_;
-  std::vector<float> local_err_;
-  // Between begin_sync and finish_sync:
+  std::vector<float> local_err_;  // empty without error feedback
+  // Between begin_sync and finish_sync: the speculated next state and the
+  // parameters whose period expired.
   bool sync_in_flight_ = false;
-  std::vector<std::size_t> pending_expiring_;  // parameter indices
+  std::vector<float> pending_next_;
+  std::size_t pending_values_ = 0;
+  std::vector<std::size_t> pending_expiring_;
 };
 
 }  // namespace fedsu::core

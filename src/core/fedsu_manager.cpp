@@ -1,7 +1,5 @@
 #include "core/fedsu_manager.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "compress/wire.h"
@@ -13,34 +11,30 @@
 namespace fedsu::core {
 
 FedSuManager::FedSuManager(int num_clients, FedSuOptions options)
-    : options_(options), num_clients_(num_clients) {
+    : state_(options), num_clients_(num_clients) {
   if (num_clients <= 0) {
     throw std::invalid_argument("FedSuManager: num_clients <= 0");
   }
-  if (options_.t_r <= 0.0 || options_.t_s <= 0.0) {
-    throw std::invalid_argument("FedSuManager: thresholds must be positive");
+}
+
+std::string FedSuManager::name() const {
+  switch (state_.options().ablation) {
+    case FedSuAblation::kFixedPeriod:
+      return "FedSU-v1";
+    case FedSuAblation::kRandomEntry:
+      return "FedSU-v2";
+    case FedSuAblation::kNone:
+      break;
   }
-  if (options_.initial_no_check < 1) {
-    throw std::invalid_argument("FedSuManager: initial_no_check must be >= 1");
-  }
+  return "FedSU";
 }
 
 void FedSuManager::initialize(std::span<const float> global_state) {
   global_.assign(global_state.begin(), global_state.end());
   const std::size_t p = global_.size();
-  OscillationOptions osc_options;
-  osc_options.ema_decay = options_.ema_decay;
-  osc_options.warmup = options_.warmup;
-  osc_ = OscillationTracker(p, osc_options);
-  predictable_.assign(p, 0);
-  slope_.assign(p, 0.0f);
-  no_check_period_.assign(p, 0);
-  no_check_remaining_.assign(p, 0);
+  state_.reset(p);
   client_err_.reset(num_clients_, p);
-  phase_start_round_.assign(p, 0);
   rejoin_stamp_.assign(static_cast<std::size_t>(num_clients_), 0);
-  linear_rounds_.assign(p, 0);
-  rounds_seen_ = 0;
   last_ratio_ = 0.0;
 }
 
@@ -62,7 +56,7 @@ std::size_t FedSuManager::on_client_rejoin(int client_id) {
   // Rejoin-stamp reset reclaims the slab outright: the accumulator is
   // semantically all-zero, and reading an absent slab yields exact zeros.
   client_err_.release(client_id);
-  rejoin_stamp_[static_cast<std::size_t>(client_id)] = rounds_seen_;
+  rejoin_stamp_[static_cast<std::size_t>(client_id)] = state_.rounds_seen();
   if (obs::metrics_enabled()) {
     obs::MetricsRegistry::global().counter("core.fedsu.rejoins").add(1);
   }
@@ -100,22 +94,21 @@ compress::SyncResult FedSuManager::synchronize(
 
   std::vector<float> new_global = global_;
   const double inv_n = 1.0 / static_cast<double>(n);
+  const bool feedback = state_.error_feedback();
   diag_ = RoundDiagnostics{};
-  std::size_t& unpredictable_count = diag_.unpredictable;
-  std::size_t& expiring_count = diag_.expiring;
 
-  // Client 0's wire upload: unpredictable values (pass 1) followed by
-  // expiring error scalars (pass 2). The byte accounting below is
+  // Client 0's wire upload: unpredictable values (speculate pass) followed
+  // by expiring error scalars (feedback pass). The byte accounting below is
   // measure_dense over those counts; the payload itself is only
   // materialized under payload audit to cross-check the measured size.
   const bool audit = compress::wire::payload_audit();
   std::vector<float> up_payload;
 
-  // Pass 1: synchronize unpredictable parameters; speculatively update the
-  // predictable ones and accumulate prediction errors. The aggregation and
-  // the error scatter are chunked over the global pool with fixed shapes
-  // (util/reduce.h block tree; one scatter task per participant), so the
-  // bits are identical for every --threads value (§5b).
+  // Speculate: synchronize unpredictable parameters; speculatively update
+  // the predictable ones and accumulate prediction errors. The aggregation
+  // and the error scatter are chunked over the global pool with fixed
+  // shapes (util/reduce.h block tree; one scatter task per participant), so
+  // the bits are identical for every --threads value (§5b).
   util::ThreadPool* pool = &util::ThreadPool::global();
   std::vector<std::size_t> expiring;  // ascending j, filled as periods lapse
   {
@@ -128,21 +121,11 @@ compress::SyncResult FedSuManager::synchronize(
   // function of (n, p) alone.
   std::vector<double> column_sums(p, 0.0);
   util::column_sums(client_states, column_sums, pool);
-  for (std::size_t j = 0; j < p; ++j) {
-    if (!predictable_[j]) {
-      ++unpredictable_count;
-      if (audit) up_payload.push_back(client_states[0][j]);
-      new_global[j] = static_cast<float>(column_sums[j] * inv_n);
-      continue;
-    }
-    // Speculative update: persist the profiled per-round slope.
-    new_global[j] = global_[j] + slope_[j];
-    ++linear_rounds_[j];
-    if (--no_check_remaining_[j] <= 0) {
-      ++expiring_count;
-      expiring.push_back(j);
-    }
-  }
+  diag_.unpredictable =
+      state_.speculate(global_, new_global, expiring, [&](std::size_t j) {
+        if (audit) up_payload.push_back(client_states[0][j]);
+        new_global[j] = static_cast<float>(column_sums[j] * inv_n);
+      });
   // Each participating client logs its local prediction error
   // e = (local update) - slope = x_local - x_spec, where x_spec is the
   // speculative new_global written above. A stale participant whose model
@@ -152,19 +135,20 @@ compress::SyncResult FedSuManager::synchronize(
   // rejoin stamps enforce for crash churn, keyed by dispatch version
   // instead of rejoin round. Participants are distinct clients, so each
   // scatter task owns its slab exclusively; a slab materializes on the
-  // first nonzero delta (absent == exact zeros, core/error_store.h).
-  if (unpredictable_count < p) {  // at least one predictable parameter
+  // first nonzero delta (absent == exact zeros, core/error_store.h). The
+  // fixed-period ablations have no error feedback and skip this entirely.
+  if (feedback && diag_.unpredictable < p) {
+    const std::vector<std::uint8_t>& predictable = state_.mask();
+    const std::vector<std::int32_t>& phase_start = state_.phase_starts();
     auto scatter = [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
         const int client = ctx.participants[i];
-        const std::span<const float>& state = client_states[i];
+        const std::span<const float>& local = client_states[i];
         float* slab = client_err_.slab(client);
         for (std::size_t j = 0; j < p; ++j) {
-          if (!predictable_[j]) continue;
-          if (versioned && ctx.dispatch_rounds[i] < phase_start_round_[j]) {
-            continue;
-          }
-          const float delta = state[j] - new_global[j];
+          if (!predictable[j]) continue;
+          if (versioned && ctx.dispatch_rounds[i] < phase_start[j]) continue;
+          const float delta = local[j] - new_global[j];
           if (slab == nullptr) {
             if (delta == 0.0f) continue;  // dense would add +/-0 to 0: 0
             slab = client_err_.ensure(client);
@@ -181,120 +165,93 @@ compress::SyncResult FedSuManager::synchronize(
   }
   }  // OBS_SPAN core.fedsu.speculate
 
-  // Pass 2: error feedback for parameters whose no-checking period expired.
-  // Stage 2a computes every expiring parameter's aggregate concurrently
-  // (disjoint outputs per expiring index); stage 2b applies the verdicts
-  // serially in ascending parameter order, so payload layout, event order
-  // and diagnostics are exactly the historical ones.
+  // Feedback for parameters whose no-checking period expired. Stage 2a
+  // computes every expiring parameter's aggregate concurrently (disjoint
+  // outputs per expiring index); stage 2b applies the verdicts serially in
+  // ascending parameter order, so payload layout, event order and
+  // diagnostics are exactly the historical ones.
   {
   OBS_SPAN("core.fedsu.feedback");
-  // Stage 2a: filtered sums. Aggregate only accumulators that cover the
-  // whole speculation phase: a client that rejoined after the phase started
-  // (rejoin_stamp_ > phase_start_round_) missed earlier error terms, and
-  // Eq. 3 sums from the phase start. Without churn every participant is
-  // valid and the mean is bit-identical to the unfiltered one. The filtered
-  // column is folded with the same fixed block shape as every other
-  // aggregation (util::blocked_sum), keeping the centralized and
-  // distributed decompositions bit-identical at any cohort size.
-  std::vector<double> err_sums(expiring.size(), 0.0);
-  std::vector<std::size_t> err_valid(expiring.size(), 0);
-  if (!expiring.empty()) {
-    auto reduce_errors = [&](std::size_t k0, std::size_t k1) {
-      std::vector<float> column;
-      column.reserve(n);
-      for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t j = expiring[k];
-        column.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto id = static_cast<std::size_t>(ctx.participants[i]);
-          if (rejoin_stamp_[id] > phase_start_round_[j]) continue;
-          column.push_back(client_err_.value(ctx.participants[i], j));
-        }
-        err_sums[k] = util::blocked_sum(column);
-        err_valid[k] = column.size();
-      }
-    };
-    if (pool->worth_parallelizing() && expiring.size() > 1) {
-      pool->parallel_for(0, expiring.size(), reduce_errors);
-    } else {
-      reduce_errors(0, expiring.size());
-    }
-  }
-  // Stage 2b: verdicts, in ascending parameter order.
-  for (std::size_t k = 0; k < expiring.size(); ++k) {
-    const std::size_t j = expiring[k];
-    // The client uploads its accumulated local error for this parameter.
-    if (audit) up_payload.push_back(client_err_.value(ctx.participants[0], j));
-    if (err_valid[k] == 0) {
-      // Every participant's view of this phase is partial (all rejoined
-      // mid-phase): the check cannot be evaluated. Re-arm for next round
-      // without extending the period.
-      no_check_remaining_[j] = 1;
-      continue;
-    }
-    // The aggregate crosses the wire as float32 (matching the distributed
-    // decomposition in core/distributed.h bit-for-bit).
-    const float mean_err = static_cast<float>(
-        err_sums[k] * (1.0 / static_cast<double>(err_valid[k])));
-    const double denom = std::fabs(static_cast<double>(slope_[j])) + 1e-8;
-    const double s = std::fabs(static_cast<double>(mean_err)) / denom;
-    if (s < options_.t_s) {
-      // Linear pattern persists: lengthen the no-checking period by one
-      // round (paper §IV-C) and keep speculating. Errors keep accumulating
-      // since Eq. 3 sums from the start of the speculation phase.
-      no_check_period_[j] += 1;
-      no_check_remaining_[j] = no_check_period_[j];
-    } else {
-      // Pattern broke: correct the value with the aggregated error so the
-      // trajectory rejoins the true one, return to regular updating and
-      // restart linearity diagnosis from scratch.
-      predictable_[j] = 0;
-      no_check_period_[j] = 0;
-      no_check_remaining_[j] = 0;
-      new_global[j] = static_cast<float>(new_global[j] + mean_err);
-      client_err_.clear_param(j);
-      if (options_.reset_on_demote) osc_.reset(j);
+  if (!feedback) {
+    // Fixed-period ablations: released without correction, no traffic.
+    for (const std::size_t j : expiring) {
+      state_.release(j);
       ++diag_.demotions;
       emit(SpecEvent{ctx.round, j, /*start=*/false});
+    }
+  } else {
+    diag_.expiring = expiring.size();
+    // Stage 2a: filtered sums. Aggregate only accumulators that cover the
+    // whole speculation phase: a client that rejoined after the phase
+    // started (rejoin stamp > phase start) missed earlier error terms, and
+    // Eq. 3 sums from the phase start. Without churn every participant is
+    // valid and the mean is bit-identical to the unfiltered one. The
+    // filtered column is folded with the same fixed block shape as every
+    // other aggregation (util::blocked_sum), keeping the centralized and
+    // distributed decompositions bit-identical at any cohort size.
+    const std::vector<std::int32_t>& phase_start = state_.phase_starts();
+    std::vector<double> err_sums(expiring.size(), 0.0);
+    std::vector<std::size_t> err_valid(expiring.size(), 0);
+    if (!expiring.empty()) {
+      auto reduce_errors = [&](std::size_t k0, std::size_t k1) {
+        std::vector<float> column;
+        column.reserve(n);
+        for (std::size_t k = k0; k < k1; ++k) {
+          const std::size_t j = expiring[k];
+          column.clear();
+          for (std::size_t i = 0; i < n; ++i) {
+            const auto id = static_cast<std::size_t>(ctx.participants[i]);
+            if (rejoin_stamp_[id] > phase_start[j]) continue;
+            column.push_back(client_err_.value(ctx.participants[i], j));
+          }
+          err_sums[k] = util::blocked_sum(column);
+          err_valid[k] = column.size();
+        }
+      };
+      if (pool->worth_parallelizing() && expiring.size() > 1) {
+        pool->parallel_for(0, expiring.size(), reduce_errors);
+      } else {
+        reduce_errors(0, expiring.size());
+      }
+    }
+    // Stage 2b: verdicts, in ascending parameter order.
+    for (std::size_t k = 0; k < expiring.size(); ++k) {
+      const std::size_t j = expiring[k];
+      // The client uploads its accumulated local error for this parameter.
+      if (audit) {
+        up_payload.push_back(client_err_.value(ctx.participants[0], j));
+      }
+      if (err_valid[k] == 0) {
+        // Every participant's view of this phase is partial (all rejoined
+        // mid-phase).
+        state_.rearm(j);
+        continue;
+      }
+      // The aggregate crosses the wire as float32 (matching the distributed
+      // decomposition in core/distributed.h bit-for-bit).
+      const float mean_err = static_cast<float>(
+          err_sums[k] * (1.0 / static_cast<double>(err_valid[k])));
+      if (state_.judge(j, mean_err, new_global[j])) {
+        client_err_.clear_param(j);
+        ++diag_.demotions;
+        emit(SpecEvent{ctx.round, j, /*start=*/false});
+      }
     }
   }
   }  // OBS_SPAN core.fedsu.feedback
 
-  // Pass 3: refresh linearity diagnosis for parameters synchronized
-  // normally this round, possibly promoting them into speculative mode.
+  // Diagnosis of the parameters synchronized normally this round, possibly
+  // promoting them into speculative mode.
   {
   OBS_SPAN("core.fedsu.diagnosis");
-  obs::Histogram* osc_hist = nullptr;
-  if (obs::metrics_enabled()) {
-    obs::HistogramOptions osc_opts;
-    osc_opts.scale = obs::HistogramOptions::Scale::kLog;
-    osc_opts.lo = 1e-4;
-    osc_opts.hi = 10.0;
-    osc_opts.buckets = 20;
-    osc_hist = &obs::MetricsRegistry::global().histogram(
-        "core.fedsu.oscillation_ratio", osc_opts);
-  }
-  for (std::size_t j = 0; j < p; ++j) {
-    if (predictable_[j]) continue;
-    const float g_new = new_global[j] - global_[j];
-    const double r = osc_.observe(j, g_new);
-    if (!osc_.ready(j)) continue;
-    if (osc_hist) osc_hist->record(r);
-    if (r < options_.t_r) {
-      predictable_[j] = 1;
-      slope_[j] = g_new;  // "use the update of the last round" (§IV-B)
-      no_check_period_[j] = options_.initial_no_check;
-      no_check_remaining_[j] = options_.initial_no_check;
-      phase_start_round_[j] = rounds_seen_;
-      client_err_.clear_param(j);
-      ++diag_.promotions;
-      emit(SpecEvent{ctx.round, j, /*start=*/true});
-    }
-  }
+  state_.diagnose(global_, new_global, [&](std::size_t j) {
+    if (feedback) client_err_.clear_param(j);
+    ++diag_.promotions;
+    emit(SpecEvent{ctx.round, j, /*start=*/true});
+  });
   }  // OBS_SPAN core.fedsu.diagnosis
 
   global_ = new_global;
-  ++rounds_seen_;
 
   compress::SyncResult result;
   result.new_global = std::move(new_global);
@@ -302,7 +259,7 @@ compress::SyncResult FedSuManager::synchronize(
   // parameters add one error scalar per direction (upload local error,
   // download the aggregated verdict/correction). Masks and periods are
   // derived locally on every client and cost nothing (§V).
-  const std::size_t per_client_scalars = unpredictable_count + expiring_count;
+  const std::size_t per_client_scalars = diag_.unpredictable + diag_.expiring;
   // One f32 per unpredictable value plus one per expiring error scalar,
   // sized without encoding (DESIGN.md §15).
   const std::size_t bytes = compress::wire::measure_dense(per_client_scalars);
@@ -328,53 +285,38 @@ compress::SyncResult FedSuManager::synchronize(
 }
 
 std::size_t FedSuManager::join_state_bytes() const {
-  // Mask (1 bit/param, sent packed) + no-checking periods + slopes.
-  return predictable_.size() / 8 + 1 +
-         no_check_period_.size() * sizeof(std::int32_t) +
-         slope_.size() * sizeof(float);
+  return state_.join_bytes();
 }
 
 std::size_t FedSuManager::state_bytes() const {
   // Extra resident memory FedSU adds on a device. Excluded: `global_` (the
-  // client's own model copy, present with or without FedSU),
-  // `linear_rounds_` (bench instrumentation only), and the churn
+  // client's own model copy, present with or without FedSU) and the churn
   // reconciliation stamps (server-side bookkeeping, not device-resident) —
   // keeping the Table II accounting identical with the fault layer off.
-  std::size_t bytes = osc_.state_bytes() +
-                      predictable_.size() * sizeof(std::uint8_t) +
-                      slope_.size() * sizeof(float) +
-                      no_check_period_.size() * sizeof(std::int32_t) +
-                      no_check_remaining_.size() * sizeof(std::int32_t);
-  // Per-client error accumulator: on a real device each client stores one
+  // With error feedback a device also stores its own error accumulator
   // (dense — the device always observes its own errors; sparsity is a
   // server-side phenomenon driven by never-selected and churned clients).
-  bytes += global_.size() * sizeof(float);
-  return bytes;
+  return state_.state_bytes() +
+         (state_.error_feedback() ? global_.size() * sizeof(float) : 0);
 }
 
 namespace {
 // 0xFED50002 added the churn-reconciliation bookkeeping (phase start
 // rounds + rejoin stamps). 0xFED50003 switched the per-client error
 // matrix to the sparse slab encoding (core/error_store.h): only allocated
-// slabs are written, as (client id, slab) pairs. Older snapshots are not
-// readable.
-constexpr std::uint32_t kFedSuSnapshotMagic = 0xFED50003;
+// slabs are written, as (client id, slab) pairs. 0xFED50004 moved the
+// per-parameter state into one FedSuState block (ablation tag first,
+// random-entry RNG words last). Older snapshots are not readable.
+constexpr std::uint32_t kFedSuSnapshotMagic = 0xFED50004;
 }  // namespace
 
 std::vector<std::uint8_t> FedSuManager::snapshot() const {
   io::BinaryWriter writer;
   writer.write_magic(kFedSuSnapshotMagic);
   writer.write_i32(num_clients_);
-  writer.write_i32(rounds_seen_);
   writer.write_f64(last_ratio_);
   writer.write_vector(global_);
-  osc_.serialize(writer);
-  writer.write_vector(predictable_);
-  writer.write_vector(slope_);
-  writer.write_vector(no_check_period_);
-  writer.write_vector(no_check_remaining_);
-  writer.write_vector(linear_rounds_);
-  writer.write_vector(phase_start_round_);
+  state_.serialize(writer);
   writer.write_vector(rejoin_stamp_);
   client_err_.serialize(writer);
   return writer.take();
@@ -384,33 +326,16 @@ void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
   io::BinaryReader reader(bytes);
   reader.expect_magic(kFedSuSnapshotMagic, "FedSuManager snapshot");
   num_clients_ = reader.read_i32();
-  rounds_seen_ = reader.read_i32();
   last_ratio_ = reader.read_f64();
   global_ = reader.read_vector<float>();
-  osc_.deserialize(reader);
-  predictable_ = reader.read_vector<std::uint8_t>();
-  slope_ = reader.read_vector<float>();
-  no_check_period_ = reader.read_vector<std::int32_t>();
-  no_check_remaining_ = reader.read_vector<std::int32_t>();
-  linear_rounds_ = reader.read_vector<std::int32_t>();
-  phase_start_round_ = reader.read_vector<std::int32_t>();
+  state_.deserialize(reader);
   rejoin_stamp_ = reader.read_vector<std::int32_t>();
   const std::size_t p = global_.size();
   client_err_.deserialize(reader, num_clients_, p);
-  if (predictable_.size() != p || slope_.size() != p ||
-      no_check_period_.size() != p || no_check_remaining_.size() != p ||
-      linear_rounds_.size() != p || osc_.size() != p ||
-      phase_start_round_.size() != p ||
+  if (state_.size() != p ||
       rejoin_stamp_.size() != static_cast<std::size_t>(num_clients_)) {
     throw std::runtime_error("FedSuManager: inconsistent snapshot");
   }
-}
-
-double FedSuManager::predictable_fraction() const {
-  if (predictable_.empty()) return 0.0;
-  std::size_t count = 0;
-  for (auto m : predictable_) count += m;
-  return static_cast<double>(count) / static_cast<double>(predictable_.size());
 }
 
 }  // namespace fedsu::core

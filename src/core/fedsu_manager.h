@@ -1,17 +1,20 @@
-// FedSU — Federated Learning with Speculative Updating (paper Algorithm 1).
+// FedSU — Federated Learning with Speculative Updating (paper Algorithm 1),
+// centralized-simulation form: one object sees every participant's state.
 //
 // Per round the manager partitions the model's scalars into:
 //   * unpredictable parameters: synchronized normally (mean of client
-//     values); their fresh global update feeds the OscillationTracker and,
-//     when the ratio R drops below T_R, the parameter enters speculative
-//     mode with the last round's update frozen as its slope;
+//     values), then diagnosed for promotion into speculative mode;
 //   * predictable parameters: NOT synchronized. Every client applies the
 //     speculative value x + slope and accumulates its local prediction
 //     error. When a parameter's no-checking period expires, the errors are
-//     aggregated; the feedback signal S = |sum e| / |slope| (Eq. 3) decides
-//     whether to extend the period (+1 round) or to end speculation —
-//     applying the aggregated error as a correction so the trajectory
-//     rejoins the true one (Fig. 6's red crosses).
+//     aggregated and the feedback signal S (Eq. 3) extends the period or
+//     ends speculation with a correction (Fig. 6's red crosses).
+//
+// The per-parameter state machine is core::FedSuState (core/fedsu_state.h);
+// this class adds what only the server has: the sparse per-client error
+// store, rejoin stamps, the async dispatch-version fence, and the blocked
+// parallel aggregation. FedSuOptions::ablation turns it into the Fig. 8
+// ablations FedSU-v1 / FedSU-v2, which never touch the error store.
 //
 // Masks and periods are derived purely from globally-identical quantities,
 // so every client can maintain its own replica without extra communication
@@ -24,24 +27,9 @@
 
 #include "compress/protocol.h"
 #include "core/error_store.h"
-#include "core/oscillation.h"
+#include "core/fedsu_state.h"
 
 namespace fedsu::core {
-
-struct FedSuOptions {
-  double t_r = 0.01;        // predictability threshold T_R (paper §VI-A)
-  double t_s = 1.0;         // error-feedback threshold T_S (paper §VI-A)
-  double ema_decay = 0.9;   // theta of Eq. 2 ("close to 1", paper §IV-A)
-  int warmup = 3;           // R observations before speculation may start
-  int initial_no_check = 1; // first no-checking period, in rounds
-  // When a speculation phase fails its S check, optionally wipe the
-  // parameter's oscillation statistics. The paper's trajectories (Fig. 6)
-  // show speculation re-starting shortly after a red-cross ending, which
-  // requires the diagnosis state to survive demotion; resetting instead
-  // forces a full re-warmup and collapses the steady-state sparsification
-  // ratio under noisy (few-iteration) rounds. Kept as an ablation knob.
-  bool reset_on_demote = false;
-};
 
 // Emitted when a parameter enters/leaves speculative mode (Fig. 6 markers).
 struct SpecEvent {
@@ -56,7 +44,8 @@ class FedSuManager : public compress::SyncProtocol {
   // client id; participants vary per round).
   FedSuManager(int num_clients, FedSuOptions options = {});
 
-  std::string name() const override { return "FedSU"; }
+  // "FedSU", "FedSU-v1" or "FedSU-v2" by options.ablation.
+  std::string name() const override;
 
   void initialize(std::span<const float> global_state) override;
 
@@ -86,8 +75,9 @@ class FedSuManager : public compress::SyncProtocol {
   std::vector<std::uint8_t> snapshot() const override;
   void restore(const std::vector<std::uint8_t>& bytes) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
-  // Demotions are fallback syncs: speculation ended and the parameter was
-  // corrected with the aggregated error, rejoining regular updating.
+  // Demotions are fallback syncs: speculation ended and the parameter
+  // rejoined regular updating (corrected by the aggregated error under
+  // FedSU, released uncorrected under the fixed-period ablations).
   Telemetry last_round_telemetry() const override {
     return {predictable_fraction(), diag_.demotions};
   }
@@ -103,15 +93,14 @@ class FedSuManager : public compress::SyncProtocol {
   // --- introspection (tests, Fig. 6 / Fig. 7 benches) ---
   const RoundDiagnostics& last_round_diagnostics() const { return diag_; }
   const std::vector<std::uint8_t>& predictable_mask() const {
-    return predictable_;
+    return state_.mask();
   }
-  double predictable_fraction() const;
+  double predictable_fraction() const { return state_.predictable_fraction(); }
   // Rounds each parameter spent in speculative mode so far.
   const std::vector<std::int32_t>& linear_rounds() const {
-    return linear_rounds_;
+    return state_.linear_rounds();
   }
-  int rounds_seen() const { return rounds_seen_; }
-  const FedSuOptions& options() const { return options_; }
+  int rounds_seen() const { return state_.rounds_seen(); }
   // The sparse per-client error-feedback store (slab residency is what
   // bench_scale contrasts with the dense num_clients x params matrix).
   const SparseErrorStore& error_store() const { return client_err_; }
@@ -125,29 +114,20 @@ class FedSuManager : public compress::SyncProtocol {
     if (event_hook_) event_hook_(event);
   }
 
-  FedSuOptions options_;
+  FedSuState state_;
   int num_clients_;
   std::vector<float> global_;
-  OscillationTracker osc_{0};
-  std::vector<std::uint8_t> predictable_;
-  std::vector<float> slope_;
-  std::vector<std::int32_t> no_check_period_;
-  std::vector<std::int32_t> no_check_remaining_;
   // Accumulated local prediction error per (client, parameter). Sparse:
   // slabs materialize on first nonzero accumulation and are released on
   // rejoin, with reads of absent slabs yielding exact 0.0f — bit-identical
   // to the dense matrix this replaced (see core/error_store.h).
   SparseErrorStore client_err_;
-  // Round (rounds_seen_ clock) when parameter j's current speculation phase
-  // started; paired with rejoin_stamp_ to decide, per (client, parameter),
-  // whether the client observed the whole phase (see pass 2).
-  std::vector<std::int32_t> phase_start_round_;
-  // First round from which client i's error accumulation is complete again
-  // (0 = always was; bumped by on_client_rejoin).
+  // First round (rounds_seen clock) from which client i's error
+  // accumulation is complete again (0 = always was; bumped by
+  // on_client_rejoin). A client whose stamp is later than a parameter's
+  // phase start missed part of that phase (see the feedback pass).
   std::vector<std::int32_t> rejoin_stamp_;
-  std::vector<std::int32_t> linear_rounds_;
   RoundDiagnostics diag_;
-  int rounds_seen_ = 0;
   double last_ratio_ = 0.0;
   std::function<void(const SpecEvent&)> event_hook_;
 };

@@ -26,15 +26,17 @@ std::unique_ptr<compress::SyncProtocol> make_protocol(
     options.stability_threshold = config.apf_stability;
     return std::make_unique<compress::Apf>(options);
   }
-  if (config.name == "fedsu") {
-    return std::make_unique<core::FedSuManager>(config.num_clients,
-                                                config.fedsu);
-  }
-  if (config.name == "fedsu-v1") {
-    return std::make_unique<core::FedSuV1>(config.fedsu_v1);
-  }
-  if (config.name == "fedsu-v2") {
-    return std::make_unique<core::FedSuV2>(config.fedsu_v2);
+  if (config.name == "fedsu" || config.name == "fedsu-v1" ||
+      config.name == "fedsu-v2") {
+    core::FedSuOptions options = config.fedsu;
+    options.ablation = core::FedSuAblation::kNone;
+    if (config.name == "fedsu-v1") {
+      options.ablation = core::FedSuAblation::kFixedPeriod;
+      options.ema_decay = 0.98;
+    } else if (config.name == "fedsu-v2") {
+      options.ablation = core::FedSuAblation::kRandomEntry;
+    }
+    return std::make_unique<core::FedSuManager>(config.num_clients, options);
   }
   if (config.name == "topk") {
     compress::TopKOptions options;

@@ -8,7 +8,6 @@
 
 #include "compress/protocol.h"
 #include "core/fedsu_manager.h"
-#include "core/fedsu_variants.h"
 
 namespace fedsu::fl {
 
@@ -17,13 +16,14 @@ struct ProtocolConfig {
   std::string name = "fedsu";
   int num_clients = 8;
 
-  core::FedSuOptions fedsu;       // fedsu
-  core::FedSuV1Options fedsu_v1;  // fedsu-v1
-  core::FedSuV2Options fedsu_v2;  // fedsu-v2
-  double cmfl_relevance = 0.8;    // cmfl
-  double apf_stability = 0.05;    // apf
-  double topk_fraction = 0.1;     // topk
-  int qsgd_bits = 8;              // qsgd
+  // fedsu, fedsu-v1, fedsu-v2. The name sets `ablation`; fedsu-v1 also
+  // runs with EMA theta 0.98. The ablations' fixed period is
+  // initial_no_check.
+  core::FedSuOptions fedsu;
+  double cmfl_relevance = 0.8;      // cmfl
+  double apf_stability = 0.05;      // apf
+  double topk_fraction = 0.1;       // topk
+  int qsgd_bits = 8;                // qsgd
   double signsgd_step_scale = 1.0;  // signsgd
 };
 

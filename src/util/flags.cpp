@@ -202,4 +202,19 @@ std::string Flags::usage(const std::string& program) const {
   return os.str();
 }
 
+bool parse_flags(Flags& flags, int argc, char** argv) {
+  try {
+    return flags.parse(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    throw UsageError(what.substr(0, what.find('\n')) +
+                     " (--help lists the flags)");
+  }
+}
+
+int usage_exit(const char* argv0, const UsageError& e) {
+  std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+  return 2;
+}
+
 }  // namespace fedsu::util

@@ -1,11 +1,14 @@
-// Minimal command-line flag parser for bench/example binaries.
+// Minimal command-line flag parser for the bench, example and tool binaries.
 //
-// Supports `--name value` and `--name=value`; unknown flags abort with a
-// usage listing so typos in experiment scripts fail loudly.
+// Supports `--name value` and `--name=value`. Every main parses through
+// parse_flags() and catches UsageError with usage_exit(), so an unknown
+// flag or a bad value exits 2 with one line on stderr instead of dying in
+// std::terminate.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,5 +56,18 @@ class Flags {
   std::map<std::string, Entry> entries_;
   std::vector<std::string> order_;
 };
+
+// A bad command line.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Flags::parse, with its errors (unknown flag, missing or bad value) cut to
+// their first line and rethrown as UsageError. Returns false after --help.
+bool parse_flags(Flags& flags, int argc, char** argv);
+
+// The catch clause of every main: reports `e` on one stderr line and
+// returns exit code 2.
+int usage_exit(const char* argv0, const UsageError& e);
 
 }  // namespace fedsu::util

@@ -61,6 +61,12 @@ Simulation make_sim(const SimulationOptions& options,
   ProtocolConfig config;
   config.name = scheme;
   config.num_clients = options.num_clients;
+  if (scheme == "fedsu-v1" || scheme == "fedsu-v2") {
+    // Both ablations promote within the first rounds and release on a
+    // short fixed period, so a kill at round 5 lands mid-speculation.
+    config.fedsu.initial_no_check = 3;
+    config.fedsu.enter_probability = 0.2;
+  }
   return Simulation(options, make_protocol(config));
 }
 
@@ -80,19 +86,20 @@ void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b) {
 // Kill at round `kill_at`, restore through the file layer into a fresh
 // simulation, finish, and compare against the uninterrupted run bitwise.
 void expect_bitwise_resume(const SimulationOptions& options, int total_rounds,
-                           int kill_at, const std::string& label) {
-  Simulation reference = make_sim(options);
+                           int kill_at, const std::string& label,
+                           const std::string& scheme = "fedsu") {
+  Simulation reference = make_sim(options, scheme);
   for (int r = 0; r < total_rounds; ++r) reference.step();
 
   const std::string dir = fresh_dir("run_ckpt_" + label);
   std::string path;
   {
-    Simulation first = make_sim(options);
+    Simulation first = make_sim(options, scheme);
     for (int r = 0; r < kill_at; ++r) first.step();
     path = io::save_run_checkpoint(dir, kill_at, first.snapshot_state());
   }  // the first process is dead; only the file survives
 
-  Simulation resumed = make_sim(options);
+  Simulation resumed = make_sim(options, scheme);
   resumed.restore_state(io::load_run_checkpoint(path));
   EXPECT_EQ(resumed.rounds_completed(), kill_at) << label;
   for (int r = kill_at; r < total_rounds; ++r) resumed.step();
@@ -311,11 +318,14 @@ TEST(RunCheckpointCadence, CheckpointingNeverPerturbsTheRun) {
 // --- the bitwise-resume contract -------------------------------------------
 
 TEST(RunCheckpointResume, SyncBitwiseAcrossThreadCountsUnderFaults) {
-  for (const int threads : {1, 4, 8}) {
-    SimulationOptions options = tiny_options(threads);
-    options.faults = churn_and_stragglers();
-    expect_bitwise_resume(options, 10, 5,
-                          "sync_t" + std::to_string(threads));
+  for (const std::string scheme : {"fedsu", "fedsu-v1", "fedsu-v2"}) {
+    for (const int threads : {1, 4, 8}) {
+      SimulationOptions options = tiny_options(threads);
+      options.faults = churn_and_stragglers();
+      expect_bitwise_resume(options, 10, 5,
+                            scheme + "_sync_t" + std::to_string(threads),
+                            scheme);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // unit behaviour of payload shaping and divergence detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/distributed.h"
@@ -77,11 +78,12 @@ TEST(FedSuClientManager, RejectsMismatchedDownload) {
 }
 
 // The heart of §V: N client managers + positional server == centralized
-// manager, bit for bit, under full participation.
-TEST(Distributed, MatchesCentralizedBitForBit) {
+// manager, bit for bit, under full participation. Reports the centralized
+// manager's final and peak predictable fractions.
+void run_against_centralized(const FedSuOptions& options, double& fraction,
+                             double& peak) {
   const std::size_t p = 12;
   const int clients = 3;
-  const FedSuOptions options = test_options();
 
   FedSuManager centralized(clients, options);
   std::vector<float> global(p, 0.0f);
@@ -164,9 +166,32 @@ TEST(Distributed, MatchesCentralizedBitForBit) {
           << "client " << i << " round " << round;
     }
     central_state = central_result.new_global;
+    peak = std::max(peak, centralized.predictable_fraction());
   }
+  fraction = centralized.predictable_fraction();
+}
+
+TEST(Distributed, MatchesCentralizedBitForBit) {
+  double fraction = 0.0, peak = 0.0;
+  run_against_centralized(test_options(), fraction, peak);
   // The run must have actually exercised speculation.
-  EXPECT_GT(centralized.predictable_fraction(), 0.2);
+  EXPECT_GT(fraction, 0.2);
+}
+
+// The Fig. 8 ablations run the same state machine on both sides.
+TEST(Distributed, AblationsMatchCentralizedBitForBit) {
+  FedSuOptions v1 = test_options();
+  v1.ablation = FedSuAblation::kFixedPeriod;
+  v1.initial_no_check = 4;
+  double fraction = 0.0, peak = 0.0;
+  run_against_centralized(v1, fraction, peak);
+  EXPECT_GT(peak, fraction);  // promoted, then released
+  peak = 0.0;
+  FedSuOptions v2 = test_options();
+  v2.ablation = FedSuAblation::kRandomEntry;
+  v2.enter_probability = 0.2;
+  run_against_centralized(v2, fraction, peak);
+  EXPECT_GT(peak, 0.0);
 }
 
 TEST(Distributed, SpeculationReducesWireBytes) {

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/fedsu_manager.h"
-#include "core/fedsu_variants.h"
 #include "util/rng.h"
 
 namespace fedsu::core {
@@ -300,11 +301,27 @@ TEST(FedSuManager, LinearRoundsCounterTracksSpeculation) {
   EXPECT_EQ(manager.rounds_seen(), 20);
 }
 
+// FedSU-v1: diagnosis without error feedback, fixed speculation period.
+FedSuOptions v1_options(int fixed_period) {
+  FedSuOptions options;
+  options.ablation = FedSuAblation::kFixedPeriod;
+  options.ema_decay = 0.98;
+  options.initial_no_check = fixed_period;
+  return options;
+}
+
+// FedSU-v2: random entry, fixed speculation period.
+FedSuOptions v2_options(double enter_probability, int fixed_period) {
+  FedSuOptions options;
+  options.ablation = FedSuAblation::kRandomEntry;
+  options.enter_probability = enter_probability;
+  options.initial_no_check = fixed_period;
+  return options;
+}
+
 TEST(FedSuV1, FixedPeriodExpiresWithoutErrorTraffic) {
-  FedSuV1Options options;
-  options.fixed_period = 5;
-  options.warmup = 3;
-  FedSuV1 proto(options);
+  FedSuManager proto(1, v1_options(5));
+  EXPECT_EQ(proto.name(), "FedSU-v1");
   TrajectoryDriver driver(proto, {0.0f}, 1);
   const std::vector<float> slopes{0.125f};
   // Promote.
@@ -321,14 +338,14 @@ TEST(FedSuV1, FixedPeriodExpiresWithoutErrorTraffic) {
     if (result.bytes_up[0] == 0) ++zero_byte_rounds;
   }
   EXPECT_GE(zero_byte_rounds, 4);  // period 5, expiry round syncs again
-  // After expiry the parameter returns to regular updating.
+  // After expiry the parameter returns to regular updating, and the error
+  // store was never touched.
   EXPECT_DOUBLE_EQ(proto.predictable_fraction(), 0.0);
+  EXPECT_EQ(proto.error_store().allocated_slabs(), 0u);
 }
 
 TEST(FedSuV1, NoCorrectionMeansDriftWhenPatternBreaks) {
-  FedSuV1Options options;
-  options.fixed_period = 8;
-  FedSuV1 proto(options);
+  FedSuManager proto(1, v1_options(8));
   TrajectoryDriver driver(proto, {0.0f}, 1);
   std::vector<float> slopes{0.125f};
   for (int r = 0; r < 6; ++r) driver.step(slopes);
@@ -347,10 +364,9 @@ TEST(FedSuV1, NoCorrectionMeansDriftWhenPatternBreaks) {
 }
 
 TEST(FedSuV2, EntryRateMatchesProbability) {
-  FedSuV2Options options;
-  options.enter_probability = 0.3;
-  options.fixed_period = 1000;  // effectively never release
-  FedSuV2 proto(options);
+  // Period 1000: effectively never released.
+  FedSuManager proto(1, v2_options(0.3, 1000));
+  EXPECT_EQ(proto.name(), "FedSU-v2");
   std::vector<float> global(2000, 0.0f);
   TrajectoryDriver driver(proto, global, 1);
   std::vector<float> slopes(2000, 0.1f);
@@ -360,21 +376,86 @@ TEST(FedSuV2, EntryRateMatchesProbability) {
 }
 
 TEST(FedSuV2, ZeroProbabilityNeverSpeculates) {
-  FedSuV2Options options;
-  options.enter_probability = 0.0;
-  FedSuV2 proto(options);
+  FedSuManager proto(1, v2_options(0.0, 43));
   TrajectoryDriver driver(proto, {0.0f, 0.0f}, 1);
   for (int r = 0; r < 10; ++r) driver.step({0.1f, 0.1f});
   EXPECT_DOUBLE_EQ(proto.predictable_fraction(), 0.0);
 }
 
 TEST(FedSuVariants, RejectBadOptions) {
-  FedSuV1Options v1;
-  v1.fixed_period = 0;
-  EXPECT_THROW(FedSuV1{v1}, std::invalid_argument);
-  FedSuV2Options v2;
-  v2.enter_probability = 2.0;
-  EXPECT_THROW(FedSuV2{v2}, std::invalid_argument);
+  EXPECT_THROW(FedSuManager(1, v1_options(0)), std::invalid_argument);
+  EXPECT_THROW(FedSuManager(1, v2_options(2.0, 43)), std::invalid_argument);
+  EXPECT_THROW(FedSuManager(1, v2_options(-0.1, 43)), std::invalid_argument);
+}
+
+// Characterization of the ablations: a noisy 16-parameter run long enough
+// for v1 promotions and expiries and for many v2 draws. The checksum of the
+// final model and the summed upload bytes were recorded from the separate
+// v1/v2 classes that preceded the shared FedSuState, and must not move.
+std::uint64_t fnv1a(const std::vector<float>& values) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t k = 0; k < values.size() * sizeof(float); ++k) {
+    hash ^= bytes[k];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+struct AblationRun {
+  std::uint64_t checksum = 0;
+  std::size_t bytes_up = 0;
+  double peak_fraction = 0.0;
+  double final_fraction = 0.0;
+};
+
+AblationRun run_ablation(const FedSuOptions& options) {
+  const std::size_t p = 16;
+  FedSuManager proto(4, options);
+  TrajectoryDriver driver(proto, std::vector<float>(p, 0.0f), 4, 0.01);
+  util::Rng walk(7);
+  AblationRun run;
+  for (int round = 0; round < 48; ++round) {
+    std::vector<float> slopes(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      switch (j % 4) {
+        case 0:
+          slopes[j] = 0.125f;
+          break;
+        case 1:
+          slopes[j] = 0.0f;
+          break;
+        case 2:
+          slopes[j] = static_cast<float>(0.2 * walk.normal());
+          break;
+        default:
+          slopes[j] = round < 24 ? 0.0625f : -0.0625f;
+          break;
+      }
+    }
+    for (std::size_t bytes : driver.step(slopes).bytes_up) {
+      run.bytes_up += bytes;
+    }
+    run.peak_fraction =
+        std::max(run.peak_fraction, proto.predictable_fraction());
+  }
+  run.checksum = fnv1a(driver.global());
+  run.final_fraction = proto.predictable_fraction();
+  return run;
+}
+
+TEST(FedSuVariants, AblationBitsArePinned) {
+  FedSuOptions v1 = v1_options(5);
+  v1.t_r = 0.05;
+  const AblationRun a = run_ablation(v1);
+  EXPECT_GT(a.peak_fraction, a.final_fraction);  // promoted, then expired
+  EXPECT_EQ(a.checksum, 0xd70ddbe438a3ceceULL);
+  EXPECT_EQ(a.bytes_up, 8368u);
+
+  const AblationRun b = run_ablation(v2_options(0.2, 3));
+  EXPECT_GT(b.peak_fraction, 0.0);
+  EXPECT_EQ(b.checksum, 0x57e7bcd416b3e2baULL);
+  EXPECT_EQ(b.bytes_up, 7856u);
 }
 
 // Property sweep over T_S: tighter thresholds demote earlier (or equally)

@@ -151,14 +151,14 @@ void check_file(const fs::path& file, const fs::path& root,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   fedsu::util::Flags flags;
   flags.add_string("root", ".", "repository root to scan")
       .add_string("flags-manifest", "",
                   "text containing every registered --flag (e.g. the "
                   "concatenated --help of all binaries); empty skips the "
                   "flag check");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   const fs::path root = fs::weakly_canonical(flags.get_string("root"));
   if (!fs::is_directory(root)) {
@@ -219,4 +219,6 @@ int main(int argc, char** argv) {
   std::printf("docs_check: %d markdown files clean (%zu known flags)\n",
               files, known_flags.size());
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

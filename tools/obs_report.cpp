@@ -532,7 +532,7 @@ int run_report(const fedsu::util::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   fedsu::util::Flags flags;
   flags.add_string("manifest", "", "run manifest JSON (report mode input)")
       .add_string("telemetry", "", "per-round telemetry JSONL (optional)")
@@ -555,7 +555,7 @@ int main(int argc, char** argv) {
                   "GEMM speedup floor vs baseline (0 = structural only)")
       .add_double("tol-mem-rel", 0.30,
                   "max relative peak-RSS growth in diff mode (0 = off)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   const std::string baseline = flags.get_string("diff");
   if (!baseline.empty()) {
@@ -578,4 +578,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return run_report(flags);
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }

@@ -479,7 +479,7 @@ ManifestTotals validate_manifest(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   fedsu::util::Flags flags;
   flags.add_string("trace", "", "chrome://tracing JSON to validate")
       .add_string("metrics", "", "metrics registry JSON to validate")
@@ -488,7 +488,7 @@ int main(int argc, char** argv) {
       .add_string("manifest", "", "run manifest JSON to validate")
       .add_int("expect-rounds", 0,
                "expected telemetry row count (0 = any non-zero)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!fedsu::util::parse_flags(flags, argc, argv)) return 0;
 
   const std::string trace = flags.get_string("trace");
   const std::string metrics = flags.get_string("metrics");
@@ -535,4 +535,6 @@ int main(int argc, char** argv) {
   }
   std::printf("all checks passed\n");
   return 0;
+} catch (const fedsu::util::UsageError& e) {
+  return fedsu::util::usage_exit(argv[0], e);
 }
